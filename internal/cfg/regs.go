@@ -3,7 +3,7 @@ package cfg
 import "repro/internal/isa"
 
 // WritesReg reports whether the instruction writes the given register.
-func WritesReg(in Inst, reg uint32) bool { return writesReg(in, reg) }
+func WritesReg(in Inst, reg uint32) bool { return writesReg(&in, reg) }
 
 // ReadsReg reports whether the instruction reads the given register.
 func ReadsReg(in Inst, reg uint32) bool {

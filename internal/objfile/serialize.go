@@ -21,6 +21,14 @@ import (
 
 var imageMagic = [4]byte{'E', 'M', 'X', '1'}
 
+// The smallest encodings of a symbol and a relocation (empty names). A
+// reader bounds each declared count by the bytes left divided by these
+// before allocating for it.
+const (
+	minSymbolBytes = 2 + 1 + 4 + 1
+	minRelocBytes  = 1 + 4 + 1 + 2 + 4
+)
+
 // WriteTo serializes the image. A *bytes.Buffer destination is appended to
 // directly with an exact presize (the daemon's pooled request scratch takes
 // this path, making a warm serialization allocation-free); any other writer
@@ -165,6 +173,9 @@ func ReadImage(r io.Reader) (*Image, error) {
 	if n, err = readU32(); err != nil {
 		return nil, err
 	}
+	if int(n) > (len(data)-pos)/minSymbolBytes {
+		return nil, fmt.Errorf("objfile: declared symbol count %d exceeds file size", n)
+	}
 	im.Symbols = make([]Symbol, 0, n)
 	for i := uint32(0); i < n; i++ {
 		var s Symbol
@@ -189,6 +200,9 @@ func ReadImage(r io.Reader) (*Image, error) {
 
 	if n, err = readU32(); err != nil {
 		return nil, err
+	}
+	if int(n) > (len(data)-pos)/minRelocBytes {
+		return nil, fmt.Errorf("objfile: declared relocation count %d exceeds file size", n)
 	}
 	im.Relocs = make([]Reloc, 0, n)
 	for i := uint32(0); i < n; i++ {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/isa"
 	"repro/internal/mediabench"
+	"repro/internal/testprog"
 )
 
 // TestPartitionPropertiesOnRealProgram checks the §4 invariants against a
@@ -181,5 +182,110 @@ cl_mid: xor  t2, 9, t2
 	mid, okM := res.InRegion["cl_mid"]
 	if !okH || !okM || hdr != mid {
 		t.Fatalf("loop split: cl_hdr in %d (%v), cl_mid in %d (%v)", hdr, okH, mid, okM)
+	}
+}
+
+// accountingBlocks builds testprog program seed and returns its blocks with
+// their costs, plus a label index for following fallthrough edges.
+func accountingBlocks(t *testing.T, seed int64) ([]*cfg.Block, map[string]*cfg.Block, costs) {
+	t.Helper()
+	obj, err := asm.Assemble(testprog.Random(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := cfg.Build(obj, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []*cfg.Block
+	byLabel := map[string]*cfg.Block{}
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			all = append(all, b)
+			byLabel[b.Label] = b
+		}
+	}
+	return all, byLabel, blockCosts(byLabel)
+}
+
+// nextBlock picks the block to append after tail: half the time tail's
+// fallthrough successor when it has one, so knitted boundaries are common;
+// otherwise any block.
+func nextBlock(rng *rand.Rand, all []*cfg.Block, byLabel map[string]*cfg.Block, tail *cfg.Block) *cfg.Block {
+	if tail != nil && tail.FallsTo != "" && rng.Intn(2) == 0 {
+		return byLabel[tail.FallsTo]
+	}
+	return all[rng.Intn(len(all))]
+}
+
+// TestIncrementalWordsMatchBufferWords checks the DFS's incremental buffer
+// accounting against the from-scratch BufferWords(r, nil) on random block
+// sequences: pushing a block adds appendWords, and popping it (the DFS
+// rejecting it) restores the count from before the push.
+func TestIncrementalWordsMatchBufferWords(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		all, byLabel, cost := accountingBlocks(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		var seq []*cfg.Block
+		stack := []int{1} // words before each push; the top is current
+		for step := 0; step < 400; step++ {
+			if len(seq) > 0 && rng.Intn(3) == 0 {
+				seq = seq[:len(seq)-1]
+				stack = stack[:len(stack)-1]
+			} else {
+				var tail *cfg.Block
+				if len(seq) > 0 {
+					tail = seq[len(seq)-1]
+				}
+				b := nextBlock(rng, all, byLabel, tail)
+				stack = append(stack, stack[len(stack)-1]+cost.appendWords(tail, b))
+				seq = append(seq, b)
+			}
+			want := BufferWords(&Region{Blocks: seq}, nil)
+			if got := stack[len(stack)-1]; got != want {
+				t.Fatalf("seed %d step %d: incremental %d words, BufferWords %d", seed, step, got, want)
+			}
+		}
+	}
+}
+
+// TestConcatWordsMatchBufferWords checks the O(1) merged size against
+// BufferWords(r, nil) of the concatenation, with and without a fallthrough
+// knit at the boundary.
+func TestConcatWordsMatchBufferWords(t *testing.T) {
+	var knit, plain int
+	for seed := int64(1); seed <= 20; seed++ {
+		all, byLabel, _ := accountingBlocks(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		randSeq := func(first *cfg.Block) []*cfg.Block {
+			seq := []*cfg.Block{first}
+			for n := rng.Intn(6); n > 0; n-- {
+				seq = append(seq, nextBlock(rng, all, byLabel, seq[len(seq)-1]))
+			}
+			return seq
+		}
+		for trial := 0; trial < 200; trial++ {
+			a := &Region{Blocks: randSeq(all[rng.Intn(len(all))])}
+			last := a.Blocks[len(a.Blocks)-1]
+			first := all[rng.Intn(len(all))]
+			if last.FallsTo != "" && trial%2 == 0 {
+				first = byLabel[last.FallsTo]
+			}
+			b := &Region{Blocks: randSeq(first)}
+			if last.FallsTo == first.Label {
+				knit++
+			} else {
+				plain++
+			}
+			ab := &Region{Blocks: append(append([]*cfg.Block{}, a.Blocks...), b.Blocks...)}
+			want := BufferWords(ab, nil)
+			if got := concatWords(a, b, BufferWords(a, nil), BufferWords(b, nil)); got != want {
+				t.Fatalf("seed %d trial %d: concatWords %d, BufferWords %d (knit %v)",
+					seed, trial, got, want, last.FallsTo == first.Label)
+			}
+		}
+	}
+	if knit < 100 || plain < 100 {
+		t.Fatalf("too few cases: %d knitted, %d plain boundaries", knit, plain)
 	}
 }

@@ -43,9 +43,6 @@ type Config struct {
 	Workers int
 }
 
-// DebugTrace, when set, receives partitioning diagnostics.
-var DebugTrace func(string)
-
 // DefaultConfig returns the paper's parameter choices.
 func DefaultConfig() Config { return Config{K: 512, Gamma: 0.66, Pack: true} }
 
@@ -87,44 +84,42 @@ type Result struct {
 // targets, address-taken blocks, or the program entry). These each require
 // an entry stub.
 func (res *Result) Entries(p *Preds, r *Region) []string {
-	memberOf := func(label string) (int, bool) {
-		id, ok := res.InRegion[label]
-		return id, ok
-	}
-	return EntriesOf(p, r, memberOf)
-}
-
-// EntriesOf is Entries with an explicit membership function, so the packing
-// pass can evaluate hypothetical merges without mutating the result.
-func EntriesOf(p *Preds, r *Region, memberOf func(string) (int, bool)) []string {
 	var out []string
 	for _, b := range r.Blocks {
-		if isEntry(p, r, b, memberOf) {
+		entry := p.alwaysEntry(b.Label)
+		if !entry {
+			entry, _ = p.externalPreds(b.Label, res.InRegion, r.ID, r.ID)
+		}
+		if entry {
 			out = append(out, b.Label)
 		}
 	}
 	return out
 }
 
-func isEntry(p *Preds, r *Region, b *cfg.Block, memberOf func(string) (int, bool)) bool {
-	if p.AddressTaken[b.Label] || p.ProgramEntry == b.Label {
-		return true
-	}
-	external := func(pred string) bool {
-		id, in := memberOf(pred)
-		return !in || id != r.ID
-	}
-	for pred := range p.FlowPreds[b.Label] {
-		if external(pred) {
-			return true
+// alwaysEntry reports whether control may arrive at block label from
+// anywhere: its address escapes, or it is the program entry.
+func (p *Preds) alwaysEntry(label string) bool {
+	return p.AddressTaken[label] || p.ProgramEntry == label
+}
+
+// externalPreds reports whether block label has a flow or call predecessor
+// outside region own, and whether it has one outside both own and partner
+// (region membership by ID in inRegion).
+func (p *Preds) externalPreds(label string, inRegion map[string]int, own, partner int) (outOwn, outBoth bool) {
+	for _, preds := range [2]map[string]bool{p.FlowPreds[label], p.CallPreds[label]} {
+		for pred := range preds {
+			id, in := inRegion[pred]
+			if in && id == own {
+				continue
+			}
+			outOwn = true
+			if !in || id != partner {
+				return true, true
+			}
 		}
 	}
-	for caller := range p.CallPreds[b.Label] {
-		if external(caller) {
-			return true
-		}
-	}
-	return false
+	return outOwn, false
 }
 
 // Preds is the program-wide predecessor index used for entry-point and
@@ -332,6 +327,61 @@ func hasIndirectUnknownCall(b *cfg.Block) bool {
 	return false
 }
 
+// blockCost is what one block contributes to any region holding it,
+// computed once per Partition.
+type blockCost struct {
+	// words is the block's own share of BufferWords(r, nil): its
+	// instructions plus one word per call, each expanded into the
+	// CreateStub pair under the conservative bound.
+	words int
+	// callees are the block's resolved call targets, in call order.
+	callees []string
+}
+
+// costs holds the cost of every candidate block.
+type costs map[*cfg.Block]blockCost
+
+func blockCosts(candidates map[string]*cfg.Block) costs {
+	c := make(costs, len(candidates))
+	for _, b := range candidates {
+		bc := blockCost{words: len(b.Insts)}
+		for _, cs := range b.Calls() {
+			bc.words++
+			if cs.Callee != "" {
+				bc.callees = append(bc.callees, cs.Callee)
+			}
+		}
+		c[b] = bc
+	}
+	return c
+}
+
+// appendWords is the change in buffer words from appending b to a block
+// sequence whose last block is tail (nil for an empty sequence): b's own
+// words, a branch if b falls through (nothing follows it yet), less the
+// branch tail no longer needs if it falls through to b.
+func (c costs) appendWords(tail, b *cfg.Block) int {
+	w := c[b].words
+	if b.FallsTo != "" {
+		w++
+	}
+	if tail != nil && tail.FallsTo == b.Label {
+		w--
+	}
+	return w
+}
+
+// concatWords is the buffer words of region a's blocks followed by region
+// b's, given wa and wb, their own: the two share one leading jump, and the
+// branch after a's last block goes if it falls through to b's first.
+func concatWords(a, b *Region, wa, wb int) int {
+	w := wa + wb - 1
+	if a.Blocks[len(a.Blocks)-1].FallsTo == b.Blocks[0].Label {
+		w--
+	}
+	return w
+}
+
 // Partition forms compressible regions from the cold blocks of a profiled
 // program.
 func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Preds, error) {
@@ -341,6 +391,7 @@ func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Pre
 	maxWords := conf.K / isa.WordSize
 	preds := BuildPredsWorkers(p, conf.Workers)
 	candidates, excluded := compressible(p, cold, conf.Workers)
+	cost := blockCosts(candidates)
 
 	res := &Result{
 		InRegion: map[string]int{},
@@ -356,7 +407,8 @@ func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Pre
 	}
 
 	// Initial regions: optionally seed from natural loops (loop-aware
-	// strategy), then bounded DFS per function in block layout order.
+	// strategy), then bounded DFS per function in block layout order. A
+	// region's ID is its index in res.Regions.
 	assigned := map[string]bool{}
 	noRetry := map[string]bool{}
 	if conf.Strategy == StrategyLoopAware {
@@ -368,21 +420,13 @@ func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Pre
 			if assigned[root.Label] || noRetry[root.Label] || candidates[root.Label] == nil {
 				continue
 			}
-			tree := dfsTree(f, root, candidates, assigned, maxWords)
+			tree := dfsTree(f, root, candidates, preds.owner, assigned, cost, maxWords)
 			if len(tree) == 0 {
-				if DebugTrace != nil {
-					DebugTrace(fmt.Sprintf("root %s: empty tree (block %d insts)", root.Label, len(root.Insts)))
-				}
 				continue
 			}
 			r := &Region{ID: len(res.Regions), Blocks: tree}
 			for _, b := range tree {
 				res.InRegion[b.Label] = r.ID
-			}
-			if DebugTrace != nil {
-				e := EntryStubWords * len(res.Entries(preds, r))
-				DebugTrace(fmt.Sprintf("root %s: tree %d blocks %d insts, E=%d profitable=%v",
-					root.Label, len(tree), r.NumInsts(), e, profitable(res, preds, r, conf.Gamma)))
 			}
 			if profitable(res, preds, r, conf.Gamma) {
 				for _, b := range tree {
@@ -399,16 +443,15 @@ func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Pre
 	}
 
 	if conf.Pack {
-		packRegions(res, preds, maxWords)
+		packRegions(res, preds, cost, maxWords)
 	}
 
 	// Final bookkeeping: exclusion reasons for cold blocks left out.
-	for label, b := range candidates {
+	for label := range candidates {
 		if _, in := res.InRegion[label]; !in {
 			if _, already := res.Excluded[label]; !already {
 				res.Excluded[label] = "not profitable to compress"
 			}
-			_ = b
 		}
 	}
 	for _, r := range res.Regions {
@@ -424,31 +467,34 @@ func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Pre
 }
 
 // dfsTree grows a region from root by depth-first search over successor
-// edges, restricted to compressible, unassigned blocks of the same
-// function, keeping the exact buffer requirement within maxWords.
-func dfsTree(f *cfg.Func, root *cfg.Block, candidates map[string]*cfg.Block, assigned map[string]bool, maxWords int) []*cfg.Block {
-	inFunc := map[string]*cfg.Block{}
-	for _, b := range f.Blocks {
-		inFunc[b.Label] = b
-	}
+// edges, restricted to compressible, unassigned blocks of function f,
+// keeping the exact buffer requirement within maxWords. The requirement is
+// kept incrementally: the tree only grows, and a block that would exceed
+// the bound is skipped with the count left as it was.
+func dfsTree(f *cfg.Func, root *cfg.Block, candidates map[string]*cfg.Block, owner map[string]*cfg.Func,
+	assigned map[string]bool, cost costs, maxWords int) []*cfg.Block {
 	var tree []*cfg.Block
+	words := 1 // leading jump to the entry offset
 	seen := map[string]bool{}
 	var visit func(b *cfg.Block)
 	visit = func(b *cfg.Block) {
-		if seen[b.Label] || assigned[b.Label] || candidates[b.Label] == nil || inFunc[b.Label] == nil {
+		if seen[b.Label] || assigned[b.Label] {
 			return
 		}
-		// Tentatively accept and check the exact buffer bound.
+		var tail *cfg.Block
+		if len(tree) > 0 {
+			tail = tree[len(tree)-1]
+		}
+		w := words + cost.appendWords(tail, b)
+		if w > maxWords {
+			return
+		}
 		seen[b.Label] = true
 		tree = append(tree, b)
-		if BufferWords(&Region{Blocks: tree}, nil) > maxWords {
-			tree = tree[:len(tree)-1]
-			delete(seen, b.Label)
-			return
-		}
+		words = w
 		succs, _ := b.Succs()
 		for _, s := range succs {
-			if nb := inFunc[s]; nb != nil {
+			if nb := candidates[s]; nb != nil && owner[s] == f {
 				visit(nb)
 			}
 		}
@@ -461,8 +507,7 @@ func dfsTree(f *cfg.Func, root *cfg.Block, candidates map[string]*cfg.Block, ass
 // (1-γ)·I instructions when compressed and costs E instructions of entry
 // stubs; compress only when E < (1-γ)·I.
 func profitable(res *Result, preds *Preds, r *Region, gamma float64) bool {
-	entries := res.Entries(preds, r)
-	e := EntryStubWords * len(entries)
+	e := EntryStubWords * len(res.Entries(preds, r))
 	i := r.NumInsts()
 	return float64(e) < (1-gamma)*float64(i)
 }
@@ -480,43 +525,49 @@ func profitable(res *Result, preds *Preds, r *Region, gamma float64) bool {
 // saving), followed by first-fit-decreasing packing of the remainder, which
 // realizes the table-word savings the paper attributes to packing small
 // fragmented regions together.
-func packRegions(res *Result, preds *Preds, maxWords int) {
+//
+// Each live region carries its buffer words, so a merge's size is O(1)
+// (concatWords). Phase 1 keeps each related pair's score; merging y into x
+// changes the entries, calls, knit and size of pairs touching x or y only,
+// so y's pairs are dropped, x's are re-scored and every other score stays
+// exact. Each merge then picks the best score by one scan.
+func packRegions(res *Result, preds *Preds, cost costs, maxWords int) {
 	const restoreStubSavingWords = 3 // stub code words plus the buffer word
 
-	live := map[int]*Region{}
+	// live[id] is region id until it is merged away; words[id] is its
+	// buffer words.
+	live := make([]*Region, len(res.Regions))
+	words := make([]int, len(res.Regions))
 	for _, r := range res.Regions {
 		live[r.ID] = r
+		words[r.ID] = BufferWords(r, nil)
 	}
 
-	mergedBufferWords := func(a, b *Region) int {
-		return BufferWords(&Region{Blocks: append(append([]*cfg.Block{}, a.Blocks...), b.Blocks...)}, nil)
+	// merge appends region y's blocks to region x.
+	merge := func(x, y *Region) {
+		words[x.ID] = concatWords(x, y, words[x.ID], words[y.ID])
+		x.Blocks = append(x.Blocks, y.Blocks...)
+		for _, blk := range y.Blocks {
+			res.InRegion[blk.Label] = x.ID
+		}
+		live[y.ID] = nil
 	}
 
 	savings := func(a, b *Region) int {
 		s := 1 // one fewer function-offset-table entry
-		merged := &Region{ID: a.ID, Blocks: append(append([]*cfg.Block{}, a.Blocks...), b.Blocks...)}
-		memberMerged := func(label string) (int, bool) {
-			id, ok := res.InRegion[label]
-			if ok && id == b.ID {
-				return a.ID, true
-			}
-			return id, ok
-		}
-		member := func(label string) (int, bool) {
-			id, ok := res.InRegion[label]
-			return id, ok
-		}
-		before := len(EntriesOf(preds, a, member)) + len(EntriesOf(preds, b, member))
-		after := len(EntriesOf(preds, merged, memberMerged))
-		s += EntryStubWords * (before - after)
-		// Calls between the two regions become intra-region.
 		for _, pair := range [2][2]*Region{{a, b}, {b, a}} {
-			for _, blk := range pair[0].Blocks {
-				for _, c := range blk.Calls() {
-					if c.Callee == "" {
-						continue
+			own, partner := pair[0], pair[1]
+			for _, blk := range own.Blocks {
+				// An entry whose external predecessors all lie in the
+				// partner needs no stub after the merge.
+				if !preds.alwaysEntry(blk.Label) {
+					if outOwn, outBoth := preds.externalPreds(blk.Label, res.InRegion, own.ID, partner.ID); outOwn && !outBoth {
+						s += EntryStubWords
 					}
-					if id, in := res.InRegion[c.Callee]; in && id == pair[1].ID {
+				}
+				// Calls between the two regions become intra-region.
+				for _, callee := range cost[blk].callees {
+					if id, in := res.InRegion[callee]; in && id == partner.ID {
 						s += restoreStubSavingWords
 					}
 				}
@@ -524,94 +575,100 @@ func packRegions(res *Result, preds *Preds, maxWords int) {
 		}
 		// Fallthrough knitting: the last block of a falling through to the
 		// first block of b saves the inserted branch.
-		if n := len(a.Blocks); n > 0 && len(b.Blocks) > 0 {
-			if a.Blocks[n-1].FallsTo == b.Blocks[0].Label {
-				s++
-			}
+		if a.Blocks[len(a.Blocks)-1].FallsTo == b.Blocks[0].Label {
+			s++
 		}
 		return s
 	}
 
-	// relatedPairs: region pairs connected by flow, call, or fallthrough.
-	relatedPairs := func() map[[2]int]bool {
-		pairs := map[[2]int]bool{}
-		addPair := func(x, y int) {
-			if x == y {
-				return
-			}
-			if x > y {
-				x, y = y, x
-			}
-			pairs[[2]int{x, y}] = true
+	// Related regions: connected by flow, call, or fallthrough.
+	adj := make([]map[int]bool, len(live))
+	relate := func(x, y int) {
+		if x == y {
+			return
 		}
-		for _, r := range live {
-			for _, blk := range r.Blocks {
-				succs, _ := blk.Succs()
-				for _, s := range succs {
-					if id, in := res.InRegion[s]; in {
-						addPair(r.ID, id)
-					}
+		for _, e := range [2][2]int{{x, y}, {y, x}} {
+			if adj[e[0]] == nil {
+				adj[e[0]] = map[int]bool{}
+			}
+			adj[e[0]][e[1]] = true
+		}
+	}
+	for _, r := range live {
+		for _, blk := range r.Blocks {
+			succs, _ := blk.Succs()
+			for _, s := range succs {
+				if id, in := res.InRegion[s]; in {
+					relate(r.ID, id)
 				}
-				for _, c := range blk.Calls() {
-					if c.Callee == "" {
-						continue
-					}
-					if id, in := res.InRegion[c.Callee]; in {
-						addPair(r.ID, id)
-					}
+			}
+			for _, callee := range cost[blk].callees {
+				if id, in := res.InRegion[callee]; in {
+					relate(r.ID, id)
 				}
 			}
 		}
-		return pairs
 	}
 
-	// Phase 1: greedy merging of related pairs by savings. Pairs are
-	// scored in sorted order so ties resolve deterministically.
-	for {
-		bestS, bestA, bestB := 1, -1, -1 // require savings beyond the table word
-		pairSet := relatedPairs()
-		pairs := make([][2]int, 0, len(pairSet))
-		for pr := range pairSet {
-			pairs = append(pairs, pr)
+	// Phase 1: greedy merging of related pairs, best savings first; ties go
+	// to the lowest (lo, hi), so the result does not depend on map order.
+	// scores holds every related pair (lo < hi) that fits the bound and
+	// saves more than the table word.
+	scores := map[[2]int]int{}
+	score := func(x, y int) {
+		if x > y {
+			x, y = y, x
 		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i][0] != pairs[j][0] {
-				return pairs[i][0] < pairs[j][0]
-			}
-			return pairs[i][1] < pairs[j][1]
-		})
-		for _, pr := range pairs {
-			a, b := live[pr[0]], live[pr[1]]
-			if a == nil || b == nil {
-				continue
-			}
-			if mergedBufferWords(a, b) > maxWords {
-				continue
-			}
-			if s := savings(a, b); s > bestS {
-				bestS, bestA, bestB = s, pr[0], pr[1]
+		pr := [2]int{x, y}
+		delete(scores, pr)
+		a, b := live[x], live[y]
+		if concatWords(a, b, words[x], words[y]) > maxWords {
+			return
+		}
+		if s := savings(a, b); s > 1 {
+			scores[pr] = s
+		}
+	}
+	for x, near := range adj {
+		for y := range near {
+			if x < y {
+				score(x, y)
 			}
 		}
-		if bestA < 0 {
-			break
+	}
+	for len(scores) > 0 {
+		best, bestS := [2]int{}, 0
+		for pr, s := range scores {
+			if s > bestS || s == bestS && (pr[0] < best[0] || pr[0] == best[0] && pr[1] < best[1]) {
+				best, bestS = pr, s
+			}
 		}
-		a, b := live[bestA], live[bestB]
-		a.Blocks = append(a.Blocks, b.Blocks...)
-		for _, blk := range b.Blocks {
-			res.InRegion[blk.Label] = a.ID
+		x, y := live[best[0]], live[best[1]]
+		merge(x, y)
+		for z := range adj[y.ID] {
+			delete(scores, [2]int{min(y.ID, z), max(y.ID, z)})
+			delete(adj[z], y.ID)
+			if z != x.ID {
+				adj[x.ID][z] = true
+				adj[z][x.ID] = true
+			}
 		}
-		delete(live, bestB)
+		adj[y.ID] = nil
+		for z := range adj[x.ID] {
+			score(x.ID, z)
+		}
 	}
 
 	// Phase 2: first-fit-decreasing packing of what remains, for the
 	// function-offset-table savings.
-	ids := make([]int, 0, len(live))
-	for id := range live {
-		ids = append(ids, id)
+	var ids []int
+	for id, r := range live {
+		if r != nil {
+			ids = append(ids, id)
+		}
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		wi := BufferWords(live[ids[i]], nil)
-		wj := BufferWords(live[ids[j]], nil)
+		wi, wj := words[ids[i]], words[ids[j]]
 		if wi != wj {
 			return wi > wj
 		}
@@ -622,12 +679,8 @@ func packRegions(res *Result, preds *Preds, maxWords int) {
 		r := live[id]
 		placed := false
 		for _, bin := range bins {
-			if mergedBufferWords(bin, r) <= maxWords {
-				bin.Blocks = append(bin.Blocks, r.Blocks...)
-				for _, blk := range r.Blocks {
-					res.InRegion[blk.Label] = bin.ID
-				}
-				delete(live, id)
+			if concatWords(bin, r, words[bin.ID], words[id]) <= maxWords {
+				merge(bin, r)
 				placed = true
 				break
 			}
@@ -638,18 +691,14 @@ func packRegions(res *Result, preds *Preds, maxWords int) {
 	}
 
 	// Renumber compactly in ascending original-ID order.
-	finalIDs := make([]int, 0, len(live))
-	for id := range live {
-		finalIDs = append(finalIDs, id)
-	}
-	sort.Ints(finalIDs)
 	var out []*Region
-	remap := map[int]int{}
-	for newID, oldID := range finalIDs {
-		r := live[oldID]
-		remap[oldID] = newID
-		r.ID = newID
-		out = append(out, r)
+	remap := make([]int, len(live))
+	for _, r := range live {
+		if r != nil {
+			remap[r.ID] = len(out)
+			r.ID = len(out)
+			out = append(out, r)
+		}
 	}
 	for l, id := range res.InRegion {
 		res.InRegion[l] = remap[id]
