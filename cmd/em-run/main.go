@@ -40,11 +40,7 @@ func main() {
 	statsJSON := flag.String("stats-json", "", "write execution statistics as JSON to this file (\"-\" for stderr; program output stays on stdout)")
 	limit := flag.Uint64("limit", 0, "instruction limit (0 = default)")
 	noFast := flag.Bool("nofastpath", false, "force the reference decode/dispatch paths (identical simulated behaviour; used by the CI equivalence guard)")
-	noPool := flag.Bool("nopool", false, "disable buffer pooling in the runtime decompressor (identical simulated behaviour; used by the CI equivalence guard)")
 	flag.Parse()
-	if *noPool {
-		core.SetPooling(false)
-	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: em-run [-in file] [-profile out] [-profile-push addr] [-stats] prog.{exe,o}")
 		os.Exit(2)

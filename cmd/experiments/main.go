@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -31,11 +30,7 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write accumulated pipeline metrics as JSON here (\"-\" for stderr)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run here")
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-run) here")
-	noPool := flag.Bool("nopool", false, "disable buffer pooling in the squash pipeline (identical results)")
 	flag.Parse()
-	if *noPool {
-		core.SetPooling(false)
-	}
 
 	if *list {
 		fmt.Println(strings.Join(experiments.Names(), "\n"))

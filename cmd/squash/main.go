@@ -43,11 +43,7 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write pipeline metrics as JSON here (\"-\" for stderr)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the squash run here")
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-squash) here")
-	noPool := flag.Bool("nopool", false, "disable buffer pooling in the squash pipeline (identical output; used by the CI equivalence guard)")
 	flag.Parse()
-	if *noPool {
-		core.SetPooling(false)
-	}
 	if flag.NArg() != 1 || *profIn == "" {
 		fmt.Fprintln(os.Stderr, "usage: squash -profile prog.prof [flags] prog.o")
 		os.Exit(2)

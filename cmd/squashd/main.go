@@ -56,7 +56,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /metrics.json, and /debug/pprof on this host:port")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of request and pipeline spans here at shutdown")
 	record := flag.String("record", "", "append each request arrival (content hash / bench key, offset) to this JSONL file for cmd/squashload replay")
-	protoMax := flag.Int("proto-max", 0, "highest wire protocol version to accept (0 = latest; 1 makes the daemon answer v2 openings with a downgrade error, like a pre-v2 build)")
 
 	// Client requests.
 	stats := flag.Bool("stats", false, "client: print the server's stats snapshot as JSON")
@@ -65,7 +64,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "client: input scale for -bench")
 	batch := flag.String("batch", "", "client: comma-separated batch items, each a bench name or OBJ:PROFILE file pair, sent as one frame")
 	outDir := flag.String("out-dir", ".", "client: directory for -batch images (batch-NN.sqz.exe)")
-	proto := flag.Int("proto", 0, "client: pin the wire protocol version (1 or 2; 0 negotiates, preferring v2)")
 	noImage := flag.Bool("noimage", false, "client: stats-only requests — the server runs the squash but omits image bytes from the response")
 
 	// Squash configuration, mirroring cmd/squash.
@@ -84,12 +82,7 @@ func main() {
 	ctStubs := flag.Bool("compile-time-stubs", false, "materialize restore stubs statically (ablation)")
 	stubCap := flag.Int("stub-capacity", 16, "runtime restore-stub slots")
 	workers := flag.Int("workers", 0, "worker goroutines for one squash (0 = one per CPU); output is byte-identical at any count")
-	noPool := flag.Bool("nopool", false, "disable buffer pooling in the pipeline and the daemon's request scratch (identical output)")
 	flag.Parse()
-	if *noPool {
-		core.SetPooling(false)
-		serve.SetPooling(false)
-	}
 
 	switch {
 	case *listen != "" && *connect != "":
@@ -101,7 +94,6 @@ func main() {
 			CacheEntries: *cacheEntries,
 			CacheBytes:   *cacheBytes,
 			PrepCacheDir: *prepDir,
-			MaxProto:     *protoMax,
 		}, *metricsAddr, *traceOut, *record)
 	case *connect != "":
 		conf := core.Config{
@@ -126,7 +118,7 @@ func main() {
 			bench: *bench, scale: *scale,
 			batch: *batch, outDir: *outDir,
 			profIn: *profIn, out: *out, conf: conf,
-			proto: *proto, noImage: *noImage,
+			noImage: *noImage,
 		})
 	default:
 		fmt.Fprintln(os.Stderr, "usage: squashd -listen ADDR [server flags]")
@@ -246,12 +238,11 @@ type clientArgs struct {
 	batch, outDir string
 	profIn, out   string
 	conf          core.Config
-	proto         int
 	noImage       bool
 }
 
 func runClient(addr string, a clientArgs) {
-	cl, err := serve.DialClientProto(addr, a.proto)
+	cl, err := serve.DialClient(addr)
 	if err != nil {
 		fail(err)
 	}
@@ -269,7 +260,7 @@ func runClient(addr string, a clientArgs) {
 	case a.ping:
 		start := time.Now()
 		must(cl.Do(&serve.Request{Op: serve.OpPing}))
-		fmt.Printf("squashd at %s is up, proto v%d (%s)\n", addr, cl.Proto(), time.Since(start).Round(time.Microsecond))
+		fmt.Printf("squashd at %s is up (%s)\n", addr, time.Since(start).Round(time.Microsecond))
 
 	case a.batch != "":
 		runBatch(cl, a)

@@ -1,11 +1,11 @@
 // Command squashprofd is the continuous-profiling collector daemon. It
-// speaks the squashd wire protocol (both framings) and answers the
-// profile-plane ops: fleets running em-run -profile-push ship their
-// execution profiles here; the daemon aggregates them per image in a
-// persistent store with a decaying window, measures drift against each
-// image's squash-time profile, and re-squashes through a squashd backend
-// (or in-process) when drift crosses the threshold — verifying that the new
-// image is output-identical and recording before/after buffer-miss rates.
+// speaks the squashd wire protocol and answers the profile-plane ops:
+// fleets running em-run -profile-push ship their execution profiles here;
+// the daemon aggregates them per image in a persistent store with a
+// decaying window, measures drift against each image's squash-time
+// profile, and re-squashes through a squashd backend (or in-process) when
+// drift crosses the threshold — verifying that the new image is
+// output-identical and recording before/after buffer-miss rates.
 //
 // Server:
 //
@@ -54,7 +54,6 @@ func main() {
 	maxInput := flag.Int("max-input-bytes", profilefeed.DefaultMaxInputBytes, "cap on pushed input bytes retained per image")
 	outDir := flag.String("out-dir", "", "also write each re-squashed image here as <key>.sqz.exe")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /metrics.json, and /debug/pprof on this host:port")
-	protoMax := flag.Int("proto-max", 0, "highest wire protocol version to accept (0 = latest)")
 
 	// Client requests.
 	ping := flag.Bool("ping", false, "client: check collector liveness")
@@ -101,7 +100,7 @@ func main() {
 			DecayHalfLife: *halfLife,
 			MaxInputBytes: *maxInput,
 			OutDir:        *outDir,
-		}, *metricsAddr, *protoMax)
+		}, *metricsAddr)
 	case *connect != "":
 		conf := core.Config{
 			Theta:                   *theta,
@@ -132,7 +131,7 @@ func main() {
 	}
 }
 
-func runServer(addr string, opts profilefeed.Options, metricsAddr string, protoMax int) {
+func runServer(addr string, opts profilefeed.Options, metricsAddr string) {
 	opts.Obs = &obs.Recorder{Metrics: obs.NewRegistry()}
 	col, err := profilefeed.NewCollector(opts)
 	if err != nil {
@@ -140,9 +139,8 @@ func runServer(addr string, opts profilefeed.Options, metricsAddr string, protoM
 	}
 
 	s := serve.NewServer(serve.Options{
-		Handler:  col.Handle,
-		Obs:      col.Obs(),
-		MaxProto: protoMax,
+		Handler: col.Handle,
+		Obs:     col.Obs(),
 	})
 	ln, err := serve.Listen(addr)
 	if err != nil {
@@ -230,7 +228,7 @@ func runClient(addr string, a clientArgs) {
 	case a.ping:
 		start := time.Now()
 		must(cl.Do(&serve.Request{Op: serve.OpPing}))
-		fmt.Printf("squashprofd at %s is up, proto v%d (%s)\n", addr, cl.Proto(), time.Since(start).Round(time.Microsecond))
+		fmt.Printf("squashprofd at %s is up (%s)\n", addr, time.Since(start).Round(time.Microsecond))
 
 	case a.register != "":
 		if a.objPath == "" || a.profPath == "" {

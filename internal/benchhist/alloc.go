@@ -55,12 +55,13 @@ func DefaultAllocGates() []AllocGate {
 		// one exact-size copy the cache retains (1 vs 3 allocs/op).
 		{Name: "request-scratch", Pooled: "BenchmarkRequestScratch/pooled", Fresh: "BenchmarkRequestScratch/fresh",
 			MaxPooledAllocs: 2, MinRatio: 2},
-		// Frame codec: one warm cache-hit squash exchange, server side (v2
-		// read+decode+respond vs the v1 JSON/base64 codec). v2's pooled
-		// buffers, zero-copy sections, and pooled envelope decoder run the
-		// whole exchange allocation-free (0 vs 9 allocs/op); the ceiling of
-		// 2 leaves room for pool warm-up and rounding only.
-		{Name: "frame-codec", Pooled: "BenchmarkFrameCodecAlloc/v2", Fresh: "BenchmarkFrameCodecAlloc/v1",
+		// Frame codec: one warm cache-hit squash exchange, server side
+		// (read+decode+respond), with the frame read buffers pooled vs
+		// allocated per frame. Pooled buffers, zero-copy sections, and the
+		// pooled envelope decoder run the whole exchange allocation-free
+		// (0 vs 2 allocs/op); the ceiling of 2 leaves room for pool warm-up
+		// and rounding only.
+		{Name: "frame-codec", Pooled: "BenchmarkFrameCodecAlloc/pooled", Fresh: "BenchmarkFrameCodecAlloc/fresh",
 			MaxPooledAllocs: 2, MinRatio: 3},
 	}
 }

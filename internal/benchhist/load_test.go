@@ -20,7 +20,6 @@ const sampleReport = `{
   "latency_ms": {"p50": 1.2, "p90": 40.1, "p99": 85.0, "max": 120.5, "mean": 9.3},
   "cache_hit_rate": 0.91,
   "prep_hit_rate": 1.0,
-  "proto": 2,
   "bytes_in": 5242880,
   "bytes_out": 1048576,
   "bytes_in_per_sec": 4194304.0,

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,7 +144,6 @@ func TestRendezvousStability(t *testing.T) {
 		addrs[i] = fmt.Sprintf("tcp:10.0.0.%d:7777", i)
 	}
 	full := mk(addrs...)
-	var pick hashPicker
 
 	const keys = 2000
 	key := func(i int) [32]byte {
@@ -151,7 +153,7 @@ func TestRendezvousStability(t *testing.T) {
 	}
 	first := make([]string, keys)
 	for i := 0; i < keys; i++ {
-		first[i] = pick.rank(key(i), full, nil)[0].Addr
+		first[i] = rank(key(i), full, nil)[0].Addr
 	}
 
 	// Distribution sanity: every backend owns a non-trivial share.
@@ -169,12 +171,12 @@ func TestRendezvousStability(t *testing.T) {
 	// key keeps its first pick.
 	without := mk(append(append([]string{}, addrs[:3]...), addrs[4:]...)...)
 	for i := 0; i < keys; i++ {
-		got := pick.rank(key(i), without, nil)[0].Addr
+		got := rank(key(i), without, nil)[0].Addr
 		if first[i] == addrs[3] {
 			if got == addrs[3] {
 				t.Fatalf("key %d still maps to the removed backend", i)
 			}
-			if want := pick.rank(key(i), full, nil)[1].Addr; got != want {
+			if want := rank(key(i), full, nil)[1].Addr; got != want {
 				t.Fatalf("key %d fell to %s, want its second choice %s", i, got, want)
 			}
 		} else if got != first[i] {
@@ -187,7 +189,7 @@ func TestRendezvousStability(t *testing.T) {
 	grown := mk(append(append([]string{}, addrs...), "tcp:10.0.0.10:7777")...)
 	moved := 0
 	for i := 0; i < keys; i++ {
-		got := pick.rank(key(i), grown, nil)[0].Addr
+		got := rank(key(i), grown, nil)[0].Addr
 		if got != first[i] {
 			if got != "tcp:10.0.0.10:7777" {
 				t.Fatalf("key %d moved to %s, not the new backend", i, got)
@@ -201,70 +203,94 @@ func TestRendezvousStability(t *testing.T) {
 	}
 }
 
-// TestRouterByteIdentity: every routing policy, on both wire protocols,
-// returns images byte-identical to the one-shot path — through single
-// requests and through batches with duplicates and a per-item error.
+// TestRouterByteIdentity: the router returns images byte-identical to the
+// one-shot path — through single requests and through batches with
+// duplicates and a per-item error. The subtest is named after the routing
+// policy it runs under.
 func TestRouterByteIdentity(t *testing.T) {
+	t.Run(PolicyHash, func(t *testing.T) { routerByteIdentity(t, Config{Policy: PolicyHash}) })
+}
+
+func routerByteIdentity(t *testing.T, cfg Config) {
 	conf := core.DefaultConfig()
 	obj1, prof1, want1 := buildWorkload(t, 3, conf)
 	obj2, prof2, want2 := buildWorkload(t, 11, conf)
 
-	for _, policy := range []string{PolicyHash, PolicyLeastConn, PolicyOrdered} {
-		t.Run(policy, func(t *testing.T) {
-			addr, _, _, stop := startCluster(t, 3, Config{Policy: policy})
-			defer stop()
-			for _, proto := range []int{1, 2} {
-				c, err := serve.DialClientProto(addr, proto)
-				if err != nil {
-					t.Fatalf("dial v%d: %v", proto, err)
-				}
-				// Singles, twice each: second pass exercises backend cache
-				// hits through the router.
-				for pass := 0; pass < 2; pass++ {
-					for _, w := range []struct{ obj, prof, want []byte }{
-						{obj1, prof1, want1}, {obj2, prof2, want2},
-					} {
-						resp, err := c.Do(&serve.Request{Op: serve.OpSquash, Obj: w.obj, Profile: w.prof})
-						if err != nil {
-							t.Fatalf("v%d do: %v", proto, err)
-						}
-						if !resp.OK {
-							t.Fatalf("v%d squash failed: %s", proto, resp.Err)
-						}
-						if !bytes.Equal(resp.Image, w.want) {
-							t.Fatalf("v%d pass %d: routed image differs from one-shot output", proto, pass)
-						}
-					}
-				}
-				// A batch with a duplicate and a broken item: identity per
-				// item, dedup marking intact, error isolated to its index.
-				resp, err := c.Do(&serve.Request{Op: serve.OpBatch, Items: []serve.BatchItem{
-					{Obj: obj1, Profile: prof1},
-					{Obj: obj2, Profile: prof2},
-					{Obj: obj1, Profile: prof1},
-					{Obj: []byte("garbage"), Profile: prof1},
-				}})
-				if err != nil {
-					t.Fatalf("v%d batch: %v", proto, err)
-				}
-				if !resp.OK || len(resp.Results) != 4 {
-					t.Fatalf("v%d batch response: ok=%v results=%d err=%q", proto, resp.OK, len(resp.Results), resp.Err)
-				}
-				for i, want := range [][]byte{want1, want2, want1} {
-					if !resp.Results[i].OK || !bytes.Equal(resp.Results[i].Image, want) {
-						t.Fatalf("v%d batch item %d: ok=%v, image identity=%v", proto, i,
-							resp.Results[i].OK, bytes.Equal(resp.Results[i].Image, want))
-					}
-				}
-				if !resp.Results[2].Shared {
-					t.Errorf("v%d: within-batch duplicate lost its Shared mark across the split", proto)
-				}
-				if resp.Results[3].OK || resp.Results[3].Err == "" {
-					t.Fatalf("v%d: malformed item 3 did not fail in isolation: %+v", proto, resp.Results[3])
-				}
-				c.Close()
+	addr, _, _, stop := startCluster(t, 3, cfg)
+	defer stop()
+	c, err := serve.DialClient(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	// Singles, twice each: second pass exercises backend cache hits
+	// through the router.
+	for pass := 0; pass < 2; pass++ {
+		for _, w := range []struct{ obj, prof, want []byte }{
+			{obj1, prof1, want1}, {obj2, prof2, want2},
+		} {
+			resp, err := c.Do(&serve.Request{Op: serve.OpSquash, Obj: w.obj, Profile: w.prof})
+			if err != nil {
+				t.Fatalf("do: %v", err)
 			}
-		})
+			if !resp.OK {
+				t.Fatalf("squash failed: %s", resp.Err)
+			}
+			if !bytes.Equal(resp.Image, w.want) {
+				t.Fatalf("pass %d: routed image differs from one-shot output", pass)
+			}
+		}
+	}
+	// A batch with a duplicate and a broken item: identity per item, dedup
+	// marking intact, error isolated to its index.
+	resp, err := c.Do(&serve.Request{Op: serve.OpBatch, Items: []serve.BatchItem{
+		{Obj: obj1, Profile: prof1},
+		{Obj: obj2, Profile: prof2},
+		{Obj: obj1, Profile: prof1},
+		{Obj: []byte("garbage"), Profile: prof1},
+	}})
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if !resp.OK || len(resp.Results) != 4 {
+		t.Fatalf("batch response: ok=%v results=%d err=%q", resp.OK, len(resp.Results), resp.Err)
+	}
+	for i, want := range [][]byte{want1, want2, want1} {
+		if !resp.Results[i].OK || !bytes.Equal(resp.Results[i].Image, want) {
+			t.Fatalf("batch item %d: ok=%v, image identity=%v", i,
+				resp.Results[i].OK, bytes.Equal(resp.Results[i].Image, want))
+		}
+	}
+	if !resp.Results[2].Shared {
+		t.Errorf("within-batch duplicate lost its Shared mark across the split")
+	}
+	if resp.Results[3].OK || resp.Results[3].Err == "" {
+		t.Fatalf("malformed item 3 did not fail in isolation: %+v", resp.Results[3])
+	}
+}
+
+// TestRouterRejectsRetiredSettings: Config.Policy and Config.BackendProto
+// accept only the one placement and the one protocol there is.
+func TestRouterRejectsRetiredSettings(t *testing.T) {
+	for _, cfg := range []Config{
+		{Policy: PolicyHash, BackendProto: serve.ProtoV2},
+		{},
+	} {
+		cfg.Backends = []string{"unix:/nope.sock"}
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("New(%+v): %v", cfg, err)
+		}
+	}
+	for _, cfg := range []Config{
+		{Policy: "least-conn"},
+		{Policy: "ordered"},
+		{BackendProto: 1},
+		{BackendProto: 3},
+	} {
+		cfg.Backends = []string{"unix:/nope.sock"}
+		if _, err := New(cfg); err == nil {
+			t.Fatalf("New(%+v) accepted a retired setting", cfg)
+		}
 	}
 }
 
@@ -354,7 +380,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	conf := core.DefaultConfig()
 	obj, prof, want := buildWorkload(t, 7, conf)
 
-	addr, r, _, stop := startCluster(t, 2, Config{Policy: PolicyOrdered})
+	addr, r, _, stop := startCluster(t, 2, Config{})
 	defer stop()
 
 	c, err := serve.DialClient(addr)
@@ -363,7 +389,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Ordered policy: all traffic lands on backend 0.
+	// Hash placement: every request for one key lands on its owner.
 	for i := 0; i < 3; i++ {
 		resp, err := c.Do(&serve.Request{Op: serve.OpSquash, Obj: obj, Profile: prof})
 		if err != nil || !resp.OK || !bytes.Equal(resp.Image, want) {
@@ -371,33 +397,38 @@ func TestRouterAdminPlane(t *testing.T) {
 		}
 	}
 	cs := r.clusterSnapshot()
-	if cs.Backends[0].Requests == 0 || cs.Backends[1].Requests != 0 {
-		t.Fatalf("ordered routing split traffic: %d / %d", cs.Backends[0].Requests, cs.Backends[1].Requests)
+	owner := 0
+	if cs.Backends[1].Requests > 0 {
+		owner = 1
+	}
+	other := 1 - owner
+	if cs.Backends[owner].Requests != 3 || cs.Backends[other].Requests != 0 {
+		t.Fatalf("hash routing split one key's traffic: %d / %d", cs.Backends[0].Requests, cs.Backends[1].Requests)
 	}
 
-	// Drain backend 0 over the wire; traffic must shift to backend 1.
-	b0 := cs.Backends[0].Addr
-	resp, err := c.Do(&serve.Request{Op: serve.OpDrain, Backend: b0})
+	// Drain the owner over the wire; traffic must shift to the other.
+	bOwner := cs.Backends[owner].Addr
+	resp, err := c.Do(&serve.Request{Op: serve.OpDrain, Backend: bOwner})
 	if err != nil || !resp.OK {
 		t.Fatalf("drain: err=%v resp=%+v", err, resp)
 	}
-	if resp.Cluster == nil || resp.Cluster.Backends[0].State != StateDraining {
-		t.Fatalf("drain response does not show backend 0 draining: %+v", resp.Cluster)
+	if resp.Cluster == nil || resp.Cluster.Backends[owner].State != StateDraining {
+		t.Fatalf("drain response does not show backend %d draining: %+v", owner, resp.Cluster)
 	}
-	before := r.clusterSnapshot().Backends[1].Requests
+	before := r.clusterSnapshot().Backends[other].Requests
 	if resp, err := c.Do(&serve.Request{Op: serve.OpSquash, Obj: obj, Profile: prof}); err != nil || !resp.OK {
 		t.Fatalf("drained-state request failed: %v", err)
 	}
-	if got := r.clusterSnapshot().Backends[1].Requests; got != before+1 {
-		t.Fatalf("draining backend still took traffic: backend 1 went %d -> %d", before, got)
+	if got := r.clusterSnapshot().Backends[other].Requests; got != before+1 {
+		t.Fatalf("draining backend still took traffic: backend %d went %d -> %d", other, before, got)
 	}
 
 	// Undrain restores it.
-	if resp, err := c.Do(&serve.Request{Op: serve.OpUndrain, Backend: b0}); err != nil || !resp.OK {
+	if resp, err := c.Do(&serve.Request{Op: serve.OpUndrain, Backend: bOwner}); err != nil || !resp.OK {
 		t.Fatalf("undrain: err=%v resp=%+v", err, resp)
 	}
-	if st := r.clusterSnapshot().Backends[0].State; st != StateUp {
-		t.Fatalf("backend 0 state after undrain = %q, want up", st)
+	if st := r.clusterSnapshot().Backends[owner].State; st != StateUp {
+		t.Fatalf("backend %d state after undrain = %q, want up", owner, st)
 	}
 
 	// Unknown backend is an error, not a silent no-op.
@@ -414,19 +445,107 @@ func TestRouterAdminPlane(t *testing.T) {
 	if got := sresp.Server.Requests[serve.OpSquash]; got < 4 {
 		t.Fatalf("merged stats count %d squashes, want >= 4", got)
 	}
-	// OpCluster over the wire round-trips on both protocols.
-	for _, proto := range []int{1, 2} {
-		cc, err := serve.DialClientProto(addr, proto)
-		if err != nil {
-			t.Fatalf("dial v%d: %v", proto, err)
-		}
-		cresp, err := cc.Do(&serve.Request{Op: serve.OpCluster})
-		if err != nil || !cresp.OK || cresp.Cluster == nil {
-			t.Fatalf("v%d cluster op: err=%v", proto, err)
-		}
-		if cresp.Cluster.Policy != PolicyOrdered || len(cresp.Cluster.Backends) != 2 {
-			t.Fatalf("v%d cluster snapshot: %+v", proto, cresp.Cluster)
-		}
-		cc.Close()
+	// OpCluster over the wire.
+	cresp, err := c.Do(&serve.Request{Op: serve.OpCluster})
+	if err != nil || !cresp.OK || cresp.Cluster == nil {
+		t.Fatalf("cluster op: err=%v", err)
 	}
+	if len(cresp.Cluster.Backends) != 2 {
+		t.Fatalf("cluster snapshot: %+v", cresp.Cluster)
+	}
+}
+
+// hungBackend listens on a Unix socket, accepts connections and reads
+// everything sent, but never replies: a backend stuck mid-request. Cleanup
+// closes the listener and every accepted connection.
+func hungBackend(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "hung.sock")
+	ln, err := net.Listen("unix", path)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			go io.Copy(io.Discard, c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	return "unix:" + path
+}
+
+// within runs f and fails the test unless it returns inside d. A call that
+// overruns is left to finish when the test's cleanup closes its socket.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Errorf("%s still blocked after %s", what, d)
+	}
+}
+
+// TestHungBackendDeadlines: a backend that accepts and reads but never
+// answers cannot wedge a client or the router. The client's deadline holds
+// for the whole exchange, the router's BackendTimeout bounds a forward,
+// and Stop returns while a health probe is hung on the backend (the probe
+// gives up at CheckTimeout).
+func TestHungBackendDeadlines(t *testing.T) {
+	addr := hungBackend(t)
+	const timeout = 200 * time.Millisecond
+
+	c, err := serve.DialClient(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(timeout))
+	within(t, time.Second, "Client.Do with a 200ms deadline", func() {
+		if _, err := c.Do(&serve.Request{Op: serve.OpPing}); err == nil {
+			t.Error("Do against a hung backend succeeded")
+		}
+	})
+
+	r, err := New(Config{
+		Backends:       []string{addr},
+		BackendTimeout: timeout,
+		CheckTimeout:   timeout,
+		CheckInterval:  time.Hour,
+		Retries:        -1,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	within(t, time.Second, "Router.Handle with a 200ms BackendTimeout", func() {
+		if resp := r.Handle(&serve.Request{Op: serve.OpSquash}); resp.OK || resp.Err == "" {
+			t.Errorf("Handle against a hung backend: %+v", resp)
+		}
+	})
+
+	// Start launches the first probe round at once; Stop waits for it.
+	r.Start()
+	time.Sleep(timeout / 4)
+	within(t, time.Second, "Router.Stop with a probe hung on the backend", r.Stop)
 }

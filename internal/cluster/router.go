@@ -12,11 +12,11 @@ import (
 
 // Config wires a Router to its backend fleet.
 type Config struct {
-	// Backends are the squashd addresses to fan out to (at least one),
-	// in preference order for the "ordered" policy.
+	// Backends are the squashd addresses to fan out to (at least one).
 	Backends []string
-	// Policy picks the routing policy: "hash" (default, rendezvous over
-	// the content key), "least-conn", or "ordered".
+	// Policy must be "" or PolicyHash: placement is always rendezvous
+	// over the content key. The field is kept for the ledger benchmark
+	// module, which sets it by name.
 	Policy string
 	// CheckInterval is the health-probe period (default 2s); CheckTimeout
 	// bounds one probe exchange (default 1s).
@@ -32,10 +32,11 @@ type Config struct {
 	Retries int
 	// BackendTimeout bounds one forwarded exchange; 0 disables.
 	BackendTimeout time.Duration
-	// BackendProto pins the wire protocol toward backends (0 negotiates,
-	// preferring v2); MaxIdle bounds pooled idle connections per backend.
+	// BackendProto must be 0 or serve.ProtoV2, the only wire protocol.
+	// The field is kept for the ledger benchmark module, which pins v2.
 	BackendProto int
-	MaxIdle      int
+	// MaxIdle bounds pooled idle connections per backend.
+	MaxIdle int
 	// Logf receives lifecycle lines (backend up/down, drain); nil logs to
 	// stderr.
 	Logf func(format string, args ...any)
@@ -43,13 +44,12 @@ type Config struct {
 
 // Router fans daemon-protocol requests out to a fleet of squashd
 // backends. Its Handle method plugs into serve.Options.Handler, so the
-// front side — listeners, v1/v2 codec, negotiation, metrics, graceful
-// drain — is the stock daemon machinery and any serve.Client works
-// against it unchanged. Handle is safe for concurrent use; concurrency
-// arrives as one connection goroutine per client connection.
+// front side — listeners, codec, metrics, graceful drain — is the stock
+// daemon machinery and any serve.Client works against it unchanged.
+// Handle is safe for concurrent use; concurrency arrives as one connection
+// goroutine per client connection.
 type Router struct {
 	cfg      Config
-	pick     picker
 	backends []*Backend
 	byAddr   map[string]*Backend
 	logf     func(format string, args ...any)
@@ -64,9 +64,11 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one backend")
 	}
-	pick, err := parsePolicy(cfg.Policy)
-	if err != nil {
-		return nil, err
+	if cfg.Policy != "" && cfg.Policy != PolicyHash {
+		return nil, fmt.Errorf("cluster: unknown routing policy %q (want %s)", cfg.Policy, PolicyHash)
+	}
+	if cfg.BackendProto != 0 && cfg.BackendProto != serve.ProtoV2 {
+		return nil, fmt.Errorf("cluster: unsupported backend protocol version %d (want %d)", cfg.BackendProto, serve.ProtoV2)
 	}
 	if cfg.CheckInterval <= 0 {
 		cfg.CheckInterval = 2 * time.Second
@@ -89,7 +91,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:    cfg,
-		pick:   pick,
 		byAddr: map[string]*Backend{},
 		logf:   logf,
 		stop:   make(chan struct{}),
@@ -98,15 +99,12 @@ func New(cfg Config) (*Router, error) {
 		if _, dup := r.byAddr[addr]; dup {
 			return nil, fmt.Errorf("cluster: duplicate backend address %q", addr)
 		}
-		b := newBackend(addr, cfg.BackendProto, cfg.MaxIdle)
+		b := newBackend(addr, cfg.MaxIdle)
 		r.backends = append(r.backends, b)
 		r.byAddr[addr] = b
 	}
 	return r, nil
 }
-
-// Policy reports the active routing policy name.
-func (r *Router) Policy() string { return r.pick.name() }
 
 // Start launches the health-check loop.
 func (r *Router) Start() {
@@ -151,8 +149,7 @@ func (r *Router) Handle(req *serve.Request) *serve.Response {
 }
 
 // live collects the backends currently eligible for new work, in
-// configuration order (the ordered policy's preference, and the
-// tie-break order everywhere else).
+// configuration order.
 func (r *Router) live() []*Backend {
 	out := make([]*Backend, 0, len(r.backends))
 	for _, b := range r.backends {
@@ -171,7 +168,7 @@ func (r *Router) live() []*Backend {
 // case is a backend doing duplicate work that warms its cache.
 func (r *Router) routeOne(req *serve.Request) *serve.Response {
 	key, _ := serve.RouteKey(req)
-	ranked := r.pick.rank(key, r.live(), nil)
+	ranked := rank(key, r.live(), nil)
 	if len(ranked) == 0 {
 		return &serve.Response{Err: "cluster: no live backends"}
 	}
@@ -235,7 +232,7 @@ func (r *Router) routeBatch(req *serve.Request) *serve.Response {
 		scratch := make([]*Backend, 0, len(live))
 		for _, i := range pending {
 			key := serve.RouteKeyItem(&items[i])
-			ranked := r.pick.rank(key, live, scratch)
+			ranked := rank(key, live, scratch)
 			shards[ranked[0]] = append(shards[ranked[0]], i)
 		}
 
@@ -330,7 +327,7 @@ func (r *Router) handleStats() *serve.Response {
 // hang; per-backend stats are the last successful probes').
 func (r *Router) clusterSnapshot() *serve.ClusterSnapshot {
 	now := time.Now()
-	cs := &serve.ClusterSnapshot{Policy: r.pick.name()}
+	cs := &serve.ClusterSnapshot{}
 	snaps := make([]*serve.Snapshot, 0, len(r.backends))
 	for _, b := range r.backends {
 		st := b.status(now)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/mediabench"
 	"repro/internal/objfile"
 	"repro/internal/testprog"
 	"repro/internal/vm"
@@ -60,6 +62,91 @@ func TestSquashPoolingOnOffByteIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunPoolingOnOffIdentical is the runtime-level pooling invariant: a
+// squashed image runs under the decompression runtime with identical
+// output, exit status, instruction and cycle counts, and RuntimeStats with
+// pooling off and on (on twice, so the second run draws warm, recycled
+// bit readers). The mediabench leg also squashes with pooling off and
+// requires the image to match the pooled one byte for byte.
+func TestRunPoolingOnOffIdentical(t *testing.T) {
+	defer SetPooling(true)
+
+	run := func(t *testing.T, out *Output, input []byte) (*vm.Machine, RuntimeStats) {
+		t.Helper()
+		rt, err := NewRuntime(out.Meta)
+		if err != nil {
+			t.Fatalf("NewRuntime: %v", err)
+		}
+		m := vm.New(out.Image, input)
+		rt.Install(m)
+		if err := m.Run(); err != nil {
+			t.Fatalf("squashed run: %v", err)
+		}
+		return m, rt.Stats
+	}
+	check := func(t *testing.T, out *Output, input []byte) {
+		t.Helper()
+		SetPooling(false)
+		wantM, wantStats := run(t, out, input)
+		SetPooling(true)
+		for cycle := 0; cycle < 2; cycle++ {
+			m, stats := run(t, out, input)
+			switch {
+			case !bytes.Equal(m.Output, wantM.Output):
+				t.Fatalf("cycle %d: output differs with pooling on", cycle)
+			case m.Status != wantM.Status:
+				t.Fatalf("cycle %d: status %d (pooled) vs %d", cycle, m.Status, wantM.Status)
+			case m.Instructions != wantM.Instructions || m.Cycles != wantM.Cycles:
+				t.Fatalf("cycle %d: %d insts / %d cycles (pooled) vs %d / %d", cycle,
+					m.Instructions, m.Cycles, wantM.Instructions, wantM.Cycles)
+			case stats != wantStats:
+				t.Fatalf("cycle %d: runtime stats diverge:\n  pooled %+v\n  off    %+v", cycle, stats, wantStats)
+			}
+		}
+		if wantStats.Decompressions == 0 {
+			t.Fatal("no decompressions; the pooled bit readers went unused")
+		}
+	}
+
+	t.Run("testprog", func(t *testing.T) {
+		// θ = 1 compresses every block, so the run decompresses on every
+		// call into the function tree.
+		input := []byte("runtime pooling equivalence")
+		obj, _, counts := prepare(t, testprog.Random(23), input)
+		conf := DefaultConfig()
+		conf.Theta = 1
+		conf.Regions.K = 64
+		out, err := Squash(obj, counts, conf)
+		if err != nil {
+			t.Fatalf("Squash: %v", err)
+		}
+		check(t, out, input)
+	})
+
+	t.Run("adpcm", func(t *testing.T) {
+		spec, ok := mediabench.SpecByName("adpcm")
+		if !ok {
+			t.Fatal("no adpcm spec")
+		}
+		obj, _, counts := prepare(t, spec.Generate(), spec.ProfilingInput())
+		conf := DefaultConfig()
+		SetPooling(false)
+		off, err := Squash(obj, counts, conf)
+		if err != nil {
+			t.Fatalf("Squash (pooling off): %v", err)
+		}
+		SetPooling(true)
+		out, err := Squash(obj, counts, conf)
+		if err != nil {
+			t.Fatalf("Squash: %v", err)
+		}
+		if outputDigest(t, off) != outputDigest(t, out) {
+			t.Fatal("image squashed with pooling off differs from the pooled one")
+		}
+		check(t, out, spec.TimingInput())
+	})
 }
 
 // TestEncodeScratchPartition checks the arena slicing contract directly:

@@ -30,9 +30,6 @@ import (
 // partition cache entries.
 func SetPooling(on bool) { huffman.SetPooling(on) }
 
-// PoolingEnabled reports whether the squash-path pools are active.
-func PoolingEnabled() bool { return huffman.PoolingEnabled() }
-
 // encodeScratch is one request's sequence-building working set.
 type encodeScratch struct {
 	arena  []isa.Inst   // backing storage for every region's sequence

@@ -21,6 +21,12 @@ func obsSquashDigest(t *testing.T, obj *objfile.Object, prof []uint64, conf Conf
 	if err != nil {
 		t.Fatalf("squash: %v", err)
 	}
+	return outputDigest(t, out)
+}
+
+// outputDigest hashes a squash output's serialized image and metadata.
+func outputDigest(t *testing.T, out *Output) [32]byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if _, err := out.Image.WriteTo(&buf); err != nil {
 		t.Fatalf("image serialize: %v", err)

@@ -64,10 +64,11 @@ func BenchmarkRequestScratch(b *testing.B) {
 
 // BenchmarkFrameCodecAlloc is the paired allocation benchmark for the wire
 // codec: one warm cache-hit squash exchange as the server sees it — read
-// and decode a request frame, encode and write the cached response. "v2"
-// is the binary frame codec (pooled buffers, zero-copy payload sections);
-// "v1" is the length-prefixed JSON codec with base64 payloads. CI gates
-// the v2 allocs/op ceiling and the v1/v2 reduction via benchhist.
+// and decode a request frame, encode and write the cached response.
+// "pooled" recycles the frame read buffers (payload sections are zero-copy
+// views into them); "fresh" is the same codec with pooling off, so every
+// frame reads into a newly allocated buffer. CI gates the pooled allocs/op
+// ceiling and the fresh/pooled reduction via benchhist.
 func BenchmarkFrameCodecAlloc(b *testing.B) {
 	src := testprog.Random(7)
 	obj, err := asm.Assemble(src)
@@ -102,10 +103,13 @@ func BenchmarkFrameCodecAlloc(b *testing.B) {
 	stats, foot := out.Stats, out.Foot
 	resp := &Response{OK: true, Image: img.Bytes(), Stats: &stats, Foot: &foot, Cached: true}
 
-	b.Run("v2", func(b *testing.B) {
+	run := func(b *testing.B, pooled bool) {
+		b.Helper()
+		SetPooling(pooled)
+		defer SetPooling(true)
 		var frame bytes.Buffer
 		fw := bufio.NewWriter(&frame)
-		sc := getFrameScratch()
+		sc := getFrameScratch() // one connection's scratch, as in serverCodec
 		defer putFrameScratch(sc)
 		if err := writeRequestV2(fw, sc, req); err != nil {
 			b.Fatal(err)
@@ -135,30 +139,7 @@ func BenchmarkFrameCodecAlloc(b *testing.B) {
 			bw.Flush()
 			r.releasePayload()
 		}
-	})
-	b.Run("v1", func(b *testing.B) {
-		var frame bytes.Buffer
-		if err := WriteFrame(&frame, req); err != nil {
-			b.Fatal(err)
-		}
-		reqFrame := frame.Bytes()
-
-		rd := bytes.NewReader(reqFrame)
-		br := bufio.NewReaderSize(rd, frameIOSize)
-		bw := bufio.NewWriterSize(io.Discard, frameIOSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rd.Reset(reqFrame)
-			br.Reset(rd)
-			var r Request
-			if err := ReadFrame(br, &r); err != nil {
-				b.Fatal(err)
-			}
-			if err := WriteFrame(bw, resp); err != nil {
-				b.Fatal(err)
-			}
-			bw.Flush()
-		}
-	})
+	}
+	b.Run("pooled", func(b *testing.B) { run(b, true) })
+	b.Run("fresh", func(b *testing.B) { run(b, false) })
 }

@@ -1,21 +1,5 @@
 package serve
 
-// Client is the version-negotiating daemon client. It opens speaking the
-// highest protocol it is allowed (v2 unless pinned) and downgrades once,
-// transparently, when the server can't follow:
-//
-//   - A v2-capable server answers the v2 opening in v2; the connection is
-//     latched and every later exchange stays binary.
-//   - A version-capped v2-era server answers with a v1 error frame carrying
-//     proto_max; the client resends the same request in v1 and latches v1.
-//   - A pre-v2 server can't parse the v2 frame at all (its length prefix
-//     exceeds MaxFrame) and closes the connection; the client redials and
-//     resends in v1. This fallback only arms on the connection's first
-//     exchange — a mid-stream hangup is a real transport error.
-//
-// Old clients never see any of this: package-level Dial/Do still speak
-// plain v1 against any server.
-
 import (
 	"bufio"
 	"fmt"
@@ -24,24 +8,20 @@ import (
 	"time"
 )
 
-// Client is one connection to a squashd daemon, with protocol negotiation
-// and wire-byte accounting. Not safe for concurrent use; open one Client
-// per goroutine (concurrency comes from connections, as before).
+// Client is one connection to a squashd daemon, with wire-byte accounting.
+// Not safe for concurrent use; open one Client per goroutine (concurrency
+// comes from connections). After a Do error the connection's framing state
+// is unknown, so the caller closes the Client instead of reusing it.
 type Client struct {
-	addr string
-	pin  int // 0 = negotiate from MaxProtoVersion; else exact version
-	ver  int // version this connection latched
-
-	conn      net.Conn
-	br        *bufio.Reader
-	bw        *bufio.Writer
-	sc        *frameScratch
-	in, out   atomic.Int64
-	exchanged bool // a full request/response round-trip has completed
+	conn    net.Conn
+	br      *bufio.Reader
+	bw      *bufio.Writer
+	sc      *frameScratch
+	in, out atomic.Int64
 }
 
 // countConn counts the bytes crossing a connection, so load tests can
-// report wire throughput per protocol version.
+// report wire throughput.
 type countConn struct {
 	net.Conn
 	in, out *atomic.Int64
@@ -59,48 +39,28 @@ func (c countConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// DialClient connects to a daemon address and negotiates the protocol
-// (opening at v2, falling back to v1 against older servers).
+// DialClient connects to a daemon address.
 func DialClient(addr string) (*Client, error) {
-	return DialClientProto(addr, 0)
-}
-
-// DialClientProto connects with a pinned protocol version: 1 or 2 forces
-// that version (a pinned-v2 client surfaces a version-capped server's
-// error instead of downgrading); 0 negotiates.
-func DialClientProto(addr string, pin int) (*Client, error) {
-	if pin < 0 || pin > MaxProtoVersion {
-		return nil, fmt.Errorf("serve: unsupported protocol version %d (max %d)", pin, MaxProtoVersion)
-	}
-	c := &Client{addr: addr, pin: pin}
-	if err := c.redial(); err != nil {
+	conn, err := Dial(addr)
+	if err != nil {
 		return nil, err
 	}
+	c := &Client{conn: conn, sc: getFrameScratch()}
+	cc := countConn{Conn: conn, in: &c.in, out: &c.out}
+	c.br = bufio.NewReaderSize(cc, frameIOSize)
+	c.bw = bufio.NewWriterSize(cc, frameIOSize)
 	return c, nil
 }
 
-func (c *Client) redial() error {
-	conn, err := Dial(c.addr)
-	if err != nil {
-		return err
+// DialClientProto is DialClient with an explicit protocol version, which
+// must be 0 or ProtoV2 (the only one there is). It is kept for the ledger
+// benchmark module, which pins v2 by name.
+func DialClientProto(addr string, proto int) (*Client, error) {
+	if proto != 0 && proto != ProtoV2 {
+		return nil, fmt.Errorf("serve: unsupported protocol version %d (want %d)", proto, ProtoV2)
 	}
-	cc := countConn{Conn: conn, in: &c.in, out: &c.out}
-	c.conn = conn
-	c.br = bufio.NewReaderSize(cc, frameIOSize)
-	c.bw = bufio.NewWriterSize(cc, frameIOSize)
-	if c.sc == nil {
-		c.sc = getFrameScratch()
-	}
-	c.ver = c.pin
-	if c.ver == 0 {
-		c.ver = MaxProtoVersion
-	}
-	c.exchanged = false
-	return nil
+	return DialClient(addr)
 }
-
-// Proto reports the protocol version the connection is speaking.
-func (c *Client) Proto() int { return c.ver }
 
 // SetDeadline bounds the socket I/O of subsequent Do calls (reads and
 // writes both); the zero time clears it. The router and health prober use
@@ -112,8 +72,8 @@ func (c *Client) SetDeadline(t time.Time) error {
 	return c.conn.SetDeadline(t)
 }
 
-// BytesIn and BytesOut report the connection's cumulative wire bytes
-// (every redial included). Safe to read concurrently with Do.
+// BytesIn and BytesOut report the connection's cumulative wire bytes.
+// Safe to read concurrently with Do.
 func (c *Client) BytesIn() int64  { return c.in.Load() }
 func (c *Client) BytesOut() int64 { return c.out.Load() }
 
@@ -129,86 +89,23 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Do sends one request and reads its response, negotiating the protocol on
-// the connection's first exchange.
+// Do sends one request and reads its response.
 func (c *Client) Do(req *Request) (*Response, error) {
-	resp, err := c.do(req)
-	if err != nil && !c.exchanged && c.pin == 0 && c.ver > ProtoV1 {
-		// First-exchange transport failure while speaking v2: the classic
-		// signature of a pre-v2 server rejecting the opening frame. Redial
-		// and resend once in v1.
-		c.conn.Close()
-		if rerr := c.redial(); rerr != nil {
-			return nil, err
-		}
-		c.ver = ProtoV1
-		return c.do(req)
+	if err := writeRequestV2(c.bw, c.sc, req); err != nil {
+		return nil, err
 	}
-	return resp, err
-}
-
-func (c *Client) do(req *Request) (*Response, error) {
-	resp := &Response{}
-	if c.ver >= ProtoV2 {
-		if err := writeRequestV2(c.bw, c.sc, req); err != nil {
-			return nil, err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return nil, err
-		}
-		if err := c.readResponseV2(resp, req); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := WriteFrame(c.bw, req); err != nil {
-			return nil, err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return nil, err
-		}
-		if err := ReadFrame(c.br, resp); err != nil {
-			return nil, err
-		}
+	if err := c.bw.Flush(); err != nil {
+		return nil, err
 	}
-	c.exchanged = true
-	return resp, nil
-}
-
-// readResponseV2 reads a response on a connection that sent a v2 request.
-// The reply is sniffed: a v1 frame here is a version-capped server's
-// negotiation error, which an unpinned client resolves by downgrading and
-// resending the request on the same connection.
-func (c *Client) readResponseV2(resp *Response, req *Request) error {
-	peek, err := c.br.Peek(4)
+	fb, env, pay, err := readFrameBodyV2(c.br)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if isV2Header(peek) {
-		fb, env, pay, err := readFrameBodyV2(c.br)
-		if err != nil {
-			return err
-		}
-		err = decodeResponseV2(c.sc, env, pay, resp)
-		fb.release() // decode copied every section out
-		return err
+	resp := &Response{}
+	err = decodeResponseV2(c.sc, env, pay, resp)
+	fb.release() // decode copied every section out
+	if err != nil {
+		return nil, err
 	}
-	if err := ReadFrame(c.br, resp); err != nil {
-		return err
-	}
-	if resp.ProtoMax >= ProtoV1 && resp.ProtoMax < c.ver && c.pin == 0 {
-		// Version-capped server: downgrade and resend on the live
-		// connection. The server consumed the v2 frame without serving it.
-		c.ver = resp.ProtoMax
-		*resp = Response{}
-		if err := WriteFrame(c.bw, req); err != nil {
-			return err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		return ReadFrame(c.br, resp)
-	}
-	// A pinned-v2 client (or a v1 response that isn't a negotiation error)
-	// surfaces the frame as-is: resp.Err explains the version miss.
-	return nil
+	return resp, nil
 }

@@ -5,16 +5,15 @@ import (
 	"sync"
 )
 
-// ClientPool keeps a bounded stack of idle, already-negotiated Clients to
-// one daemon address, so a router forwarding thousands of requests does
-// not redial (and renegotiate the protocol) per request. A Client is
-// single-goroutine, so the pool hands out exclusive ownership: Get pops an
-// idle connection or dials a fresh one; Put returns a healthy connection
-// for reuse. A connection that saw a transport error must be Closed by
-// the caller instead of Put — the pool never inspects health itself.
+// ClientPool keeps a bounded stack of idle Clients to one daemon address,
+// so a router forwarding thousands of requests does not redial per
+// request. A Client is single-goroutine, so the pool hands out exclusive
+// ownership: Get pops an idle connection or dials a fresh one; Put returns
+// a healthy connection for reuse. A connection that saw a transport error
+// must be Closed by the caller instead of Put — the pool never inspects
+// health itself.
 type ClientPool struct {
 	addr    string
-	proto   int // pinned protocol version; 0 negotiates
 	maxIdle int
 
 	mu     sync.Mutex
@@ -22,21 +21,20 @@ type ClientPool struct {
 	closed bool
 }
 
-// NewClientPool builds a pool for addr. proto pins the wire protocol (0
-// negotiates, preferring v2); maxIdle bounds retained idle connections
-// (<= 0 means 4).
-func NewClientPool(addr string, proto, maxIdle int) *ClientPool {
+// NewClientPool builds a pool for addr; maxIdle bounds retained idle
+// connections (<= 0 means 4).
+func NewClientPool(addr string, maxIdle int) *ClientPool {
 	if maxIdle <= 0 {
 		maxIdle = 4
 	}
-	return &ClientPool{addr: addr, proto: proto, maxIdle: maxIdle}
+	return &ClientPool{addr: addr, maxIdle: maxIdle}
 }
 
 // Addr reports the daemon address the pool dials.
 func (p *ClientPool) Addr() string { return p.addr }
 
-// Get returns an exclusive connection: the most recently parked idle one
-// (its protocol already latched), or a freshly dialed client.
+// Get returns an exclusive connection: the most recently parked idle one,
+// or a freshly dialed client.
 func (p *ClientPool) Get() (*Client, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -51,7 +49,7 @@ func (p *ClientPool) Get() (*Client, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	return DialClientProto(p.addr, p.proto)
+	return DialClient(p.addr)
 }
 
 // Put parks a healthy connection for reuse. Beyond maxIdle — or after

@@ -6,8 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"net"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -100,8 +98,7 @@ func TestFrameV2RoundTrip(t *testing.T) {
 
 // TestFrameV2ProfileOpsRoundTrip: the profile-plane request fields — the
 // Image and Input payload sections, ImageKey, RunMeta, Force — and the
-// Feed/Resquash/ImageKey response fields survive encode/decode, and v1 JSON
-// framing carries them too.
+// Feed/Resquash/ImageKey response fields survive encode/decode.
 func TestFrameV2ProfileOpsRoundTrip(t *testing.T) {
 	in := &Request{
 		Op:       OpProfilePush,
@@ -170,20 +167,6 @@ func TestFrameV2ProfileOpsRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(rout.Image, resp.Image) {
 		t.Fatalf("image diverged: %q", rout.Image)
-	}
-
-	// v1 JSON framing must carry the same fields (base64 for payloads).
-	var v1buf bytes.Buffer
-	if err := WriteFrame(&v1buf, in); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	var v1out Request
-	if err := ReadFrame(&v1buf, &v1out); err != nil {
-		t.Fatalf("ReadFrame: %v", err)
-	}
-	if !bytes.Equal(v1out.Image, in.Image) || !bytes.Equal(v1out.Input, in.Input) ||
-		v1out.ImageKey != in.ImageKey || v1out.Run == nil || *v1out.Run != *in.Run || !v1out.Force {
-		t.Fatalf("v1 framing diverged: %+v", v1out)
 	}
 }
 
@@ -287,8 +270,8 @@ func TestFrameV2RejectsHostileSections(t *testing.T) {
 }
 
 // TestProtoInteropByteIdentity is the acceptance invariant: the same
-// workload returns byte-identical images across protocol v1 (legacy
-// package-level client), pinned v1, negotiated v2, and batch framing, with
+// workload returns byte-identical images through a plain client, a client
+// dialed with the protocol named explicitly, and batch framing, with
 // pooling on and off.
 func TestProtoInteropByteIdentity(t *testing.T) {
 	conf := core.DefaultConfig()
@@ -306,100 +289,119 @@ func TestProtoInteropByteIdentity(t *testing.T) {
 				core.SetPooling(true)
 			}()
 
-			s, addr, stop := startServer(t, Options{Workers: 2})
+			_, addr, stop := startServer(t, Options{Workers: 2})
 			defer stop()
 			req := func() *Request {
 				return &Request{Op: OpSquash, Obj: obj, Profile: prof}
 			}
 
-			// Legacy v1 path: raw conn + package-level Do.
-			conn, err := Dial(addr)
-			if err != nil {
-				t.Fatalf("dial: %v", err)
-			}
-			resp, err := Do(conn, req())
-			conn.Close()
-			if err != nil || !resp.OK {
-				t.Fatalf("v1 Do: resp=%+v err=%v", resp, err)
-			}
-			if !bytes.Equal(resp.Image, want) {
-				t.Fatal("legacy v1 image diverged from one-shot squash")
-			}
-
-			// Negotiated client: must land on v2 and return the same bytes.
 			cl, err := DialClient(addr)
 			if err != nil {
 				t.Fatalf("DialClient: %v", err)
 			}
 			defer cl.Close()
-			resp, err = cl.Do(req())
+			resp, err := cl.Do(req())
 			if err != nil || !resp.OK {
-				t.Fatalf("v2 Do: resp=%+v err=%v", resp, err)
-			}
-			if cl.Proto() != ProtoV2 {
-				t.Fatalf("negotiated proto = v%d, want v2", cl.Proto())
+				t.Fatalf("Do: resp=%+v err=%v", resp, err)
 			}
 			if !bytes.Equal(resp.Image, want) {
-				t.Fatal("v2 image diverged from one-shot squash")
+				t.Fatal("image diverged from one-shot squash")
 			}
 			if cl.BytesIn() == 0 || cl.BytesOut() == 0 {
 				t.Fatalf("wire counters empty: in=%d out=%d", cl.BytesIn(), cl.BytesOut())
 			}
 
-			// Pinned v1 client.
-			cl1, err := DialClientProto(addr, ProtoV1)
+			// DialClientProto takes only the one protocol there is.
+			cl2, err := DialClientProto(addr, ProtoV2)
 			if err != nil {
-				t.Fatalf("DialClientProto(1): %v", err)
+				t.Fatalf("DialClientProto(2): %v", err)
 			}
-			defer cl1.Close()
-			resp, err = cl1.Do(req())
-			if err != nil || !resp.OK || cl1.Proto() != ProtoV1 {
-				t.Fatalf("pinned v1: resp=%+v err=%v proto=%d", resp, err, cl1.Proto())
+			defer cl2.Close()
+			resp, err = cl2.Do(req())
+			if err != nil || !resp.OK || !bytes.Equal(resp.Image, want) {
+				t.Fatalf("DialClientProto(2) client: ok=%v err=%v identical=%v", resp != nil && resp.OK, err,
+					resp != nil && bytes.Equal(resp.Image, want))
 			}
-			if !bytes.Equal(resp.Image, want) {
-				t.Fatal("pinned v1 image diverged from one-shot squash")
+			if c, err := DialClientProto(addr, 1); err == nil {
+				c.Close()
+				t.Fatal("DialClientProto accepted protocol version 1")
 			}
 
-			// Batch over v2: every result byte-identical too.
+			// Batch: every result byte-identical too.
 			resp, err = cl.Do(&Request{Op: OpBatch, Items: []BatchItem{
 				{Obj: obj, Profile: prof},
 				{Obj: obj, Profile: prof},
 			}})
 			if err != nil || !resp.OK || len(resp.Results) != 2 {
-				t.Fatalf("v2 batch: resp=%+v err=%v", resp, err)
+				t.Fatalf("batch: resp=%+v err=%v", resp, err)
 			}
 			for i, r := range resp.Results {
 				if !r.OK || !bytes.Equal(r.Image, want) {
 					t.Fatalf("batch result %d diverged (ok=%v err=%q)", i, r.OK, r.Err)
 				}
 			}
-
-			snap := s.StatsSnapshot()
-			if snap.ProtoConns["v1"] == 0 || snap.ProtoConns["v2"] == 0 {
-				t.Fatalf("proto_conns = %v, want both versions counted", snap.ProtoConns)
-			}
 		})
 	}
 }
 
-// TestV2ConnRejectsV1MidStream: a connection latches its first frame's
-// version; switching framings afterwards is a fatal protocol error with an
-// explicit error response before the close.
-func TestV2ConnRejectsV1MidStream(t *testing.T) {
+// v1Frame renders a frame in the retired length-prefixed JSON framing: a
+// 4-byte little-endian length, then the body. Servers must refuse it.
+func v1Frame(body string) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	return append(b, body...)
+}
+
+// readErrorFrame reads one response frame from br and requires it to be an
+// error, followed by the server closing the connection.
+func readErrorFrame(t *testing.T, br *bufio.Reader) {
+	t.Helper()
+	fb, env, pay, err := readFrameBodyV2(br)
+	if err != nil {
+		t.Fatalf("read error response: %v", err)
+	}
+	defer fb.release()
+	sc := getFrameScratch()
+	defer putFrameScratch(sc)
+	var resp Response
+	if err := decodeResponseV2(sc, env, pay, &resp); err != nil {
+		t.Fatalf("decode error response: %v", err)
+	}
+	if resp.OK || resp.Err == "" {
+		t.Fatalf("non-v2 frame not rejected: %+v", resp)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("connection still open after a protocol error (err=%v)", err)
+	}
+}
+
+// TestNonV2FrameRejected: a frame that is not v2 — a v1-shaped opening, or
+// v1 bytes after a good v2 exchange — gets a v2 error frame and a closed
+// connection, while the server keeps serving other connections.
+func TestNonV2FrameRejected(t *testing.T) {
 	_, addr, stop := startServer(t, Options{Workers: 1})
 	defer stop()
 
+	// A v1-shaped opening: rejected after its first four bytes.
 	conn, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
+	if _, err := conn.Write(v1Frame(`{"op":"ping"}`)); err != nil {
+		t.Fatalf("write v1 ping: %v", err)
+	}
+	readErrorFrame(t, bufio.NewReader(conn))
 
-	// First frame v2: latches the connection.
-	if _, err := conn.Write(encodeV2Request(t, &Request{Op: OpPing})); err != nil {
+	// v1 bytes mid-stream, after a good v2 exchange.
+	conn2, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn2.Close()
+	if _, err := conn2.Write(encodeV2Request(t, &Request{Op: OpPing})); err != nil {
 		t.Fatalf("write v2 ping: %v", err)
 	}
-	br := bufio.NewReader(conn)
+	br := bufio.NewReader(conn2)
 	fb, env, pay, err := readFrameBodyV2(br)
 	if err != nil {
 		t.Fatalf("read v2 response: %v", err)
@@ -411,121 +413,19 @@ func TestV2ConnRejectsV1MidStream(t *testing.T) {
 		t.Fatalf("v2 ping: resp=%+v err=%v", resp, err)
 	}
 	fb.release()
-
-	// Now a v1 frame on the same connection: explicit error, then close.
-	if err := WriteFrame(conn, &Request{Op: OpPing}); err != nil {
+	if _, err := conn2.Write(v1Frame(`{"op":"ping"}`)); err != nil {
 		t.Fatalf("write v1 ping: %v", err)
 	}
-	fb, env, pay, err = readFrameBodyV2(br)
-	if err != nil {
-		t.Fatalf("read error response: %v", err)
-	}
-	resp = Response{}
-	if err := decodeResponseV2(sc, env, pay, &resp); err != nil {
-		t.Fatalf("decode error response: %v", err)
-	}
-	fb.release()
-	if resp.OK || resp.Err == "" {
-		t.Fatalf("mixed-version frame not rejected: %+v", resp)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		t.Fatalf("connection still open after fatal protocol error (err=%v)", err)
-	}
-}
+	readErrorFrame(t, br)
 
-// TestServerV1Capped: a server pinned to proto v1 (mimicking a pre-v2
-// build's capabilities) downgrades negotiating clients transparently and
-// rejects pinned-v2 clients with an explicit error.
-func TestServerV1Capped(t *testing.T) {
-	conf := core.DefaultConfig()
-	obj, prof, want := buildWorkload(t, 17, conf)
-	_, addr, stop := startServer(t, Options{Workers: 1, MaxProto: 1})
-	defer stop()
-
-	// Negotiating client: downgrade happens inside the first Do.
+	// The server itself is unharmed.
 	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("DialClient: %v", err)
 	}
 	defer cl.Close()
-	resp, err := cl.Do(&Request{Op: OpSquash, Obj: obj, Profile: prof})
-	if err != nil || !resp.OK {
-		t.Fatalf("negotiated request: resp=%+v err=%v", resp, err)
-	}
-	if cl.Proto() != ProtoV1 {
-		t.Fatalf("client proto = v%d, want downgrade to v1", cl.Proto())
-	}
-	if !bytes.Equal(resp.Image, want) {
-		t.Fatal("downgraded image diverged from one-shot squash")
-	}
-	// The connection keeps serving after the downgrade.
 	if resp, err := cl.Do(&Request{Op: OpPing}); err != nil || !resp.OK {
-		t.Fatalf("ping after downgrade: resp=%+v err=%v", resp, err)
-	}
-
-	// Pinned v2 client: the version miss surfaces instead of downgrading.
-	cl2, err := DialClientProto(addr, ProtoV2)
-	if err != nil {
-		t.Fatalf("DialClientProto(2): %v", err)
-	}
-	defer cl2.Close()
-	resp, err = cl2.Do(&Request{Op: OpPing})
-	if err != nil {
-		t.Fatalf("pinned v2 transport error: %v", err)
-	}
-	if resp.OK || resp.ProtoMax != 1 {
-		t.Fatalf("pinned v2 against capped server: %+v, want error with proto_max=1", resp)
-	}
-}
-
-// TestClientFallbackOldServer: a genuinely pre-v2 server can't parse a v2
-// opening at all — it sees an oversized v1 length prefix and hangs up. The
-// negotiating client redials and resends in v1.
-func TestClientFallbackOldServer(t *testing.T) {
-	// A minimal replica of the pre-v2 daemon loop: length-prefixed JSON
-	// only, connection dropped on any read error.
-	path := filepath.Join(t.TempDir(), "oldserver.sock")
-	ln, err := net.Listen("unix", path)
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				for {
-					var req Request
-					if err := ReadFrame(c, &req); err != nil {
-						return
-					}
-					if err := WriteFrame(c, &Response{OK: true}); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	cl, err := DialClient("unix:" + path)
-	if err != nil {
-		t.Fatalf("DialClient: %v", err)
-	}
-	defer cl.Close()
-	resp, err := cl.Do(&Request{Op: OpPing})
-	if err != nil || !resp.OK {
-		t.Fatalf("fallback request: resp=%+v err=%v", resp, err)
-	}
-	if cl.Proto() != ProtoV1 {
-		t.Fatalf("client proto = v%d, want v1 fallback", cl.Proto())
-	}
-	// And it keeps working.
-	if resp, err := cl.Do(&Request{Op: OpPing}); err != nil || !resp.OK {
-		t.Fatalf("second request after fallback: resp=%+v err=%v", resp, err)
+		t.Fatalf("ping on a fresh connection: resp=%+v err=%v", resp, err)
 	}
 }
 
@@ -566,17 +466,6 @@ func TestNoImage(t *testing.T) {
 	}
 	if !bytes.Equal(resp.Image, want) {
 		t.Fatal("cache warmed by a noimage request returned different bytes")
-	}
-
-	// The v1 framing honors the flag too.
-	conn, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	resp, err = Do(conn, &Request{Op: OpSquash, Obj: obj, Profile: prof, NoImage: true})
-	if err != nil || !resp.OK || resp.Image != nil || resp.Stats == nil {
-		t.Fatalf("v1 noimage: resp.OK=%v image=%d stats=%v err=%v", resp.OK, len(resp.Image), resp.Stats, err)
 	}
 	if snap := s.StatsSnapshot(); snap.Errors != 0 {
 		t.Fatalf("server reported %d errors", snap.Errors)
@@ -654,16 +543,12 @@ func TestFrameBufPool(t *testing.T) {
 	off.release()
 }
 
-// FuzzFrame drives the server-side codec over arbitrary byte streams at
-// both protocol caps: no input may panic, and every malformed frame must
-// surface as a clean connection-level error (or a recoverable version
-// miss), never a hang or an aliased read.
+// FuzzFrame drives the server-side codec over arbitrary byte streams: no
+// input may panic, and every malformed frame — v1-shaped bytes included —
+// must surface as a clean connection-level error, never a hang or an
+// aliased read.
 func FuzzFrame(f *testing.F) {
-	// Well-formed openings of both versions.
-	var v1ping bytes.Buffer
-	if err := WriteFrame(&v1ping, &Request{Op: OpPing}); err != nil {
-		f.Fatal(err)
-	}
+	v1ping := v1Frame(`{"op":"ping"}`)
 	var v2buf bytes.Buffer
 	bw := bufio.NewWriter(&v2buf)
 	sc := newFrameScratch()
@@ -673,12 +558,12 @@ func FuzzFrame(f *testing.F) {
 	bw.Flush()
 	v2req := v2buf.Bytes()
 
-	f.Add(v1ping.Bytes())
+	f.Add(v1ping)
 	f.Add(v2req)
-	f.Add(append(append([]byte{}, v2req...), v1ping.Bytes()...)) // v1 JSON mid-v2-stream
-	f.Add(append(append([]byte{}, v1ping.Bytes()...), v2req...)) // v2 mid-v1-stream
-	f.Add(v2req[:len(v2req)-3])                                  // truncated payload
-	f.Add(v2req[:frameHeaderLen-2])                              // truncated header
+	f.Add(append(append([]byte{}, v2req...), v1ping...)) // v1 JSON mid-v2-stream
+	f.Add(append(append([]byte{}, v1ping...), v2req...)) // v2 after a v1 opening
+	f.Add(v2req[:len(v2req)-3])                          // truncated payload
+	f.Add(v2req[:frameHeaderLen-2])                      // truncated header
 	f.Add([]byte{0xFF, 0xFF, 0x51, 0xF2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(v2Frame(`{"op":"squash","obj":{"o":0,"n":99},"profile":{"o":0,"n":0}}`, []byte("x")))
 	f.Add(v2Frame(`{"op":"squash","obj":{"o":0,"n":2},"profile":{"o":1,"n":1}}`, []byte("ab")))
@@ -686,27 +571,27 @@ func FuzzFrame(f *testing.F) {
 	f.Add(v2Frame(``, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, maxVer := range []int{1, MaxProtoVersion} {
-			codec := newServerCodec(bytes.NewReader(data), io.Discard, maxVer)
-			for i := 0; i < 64; i++ {
-				var req Request
-				err := codec.readRequest(&req)
-				if err == nil {
-					// Frames that parse get a response written, exercising
-					// the encode side, and their payload released as the
-					// server would after processing.
-					codec.writeResponse(&Response{OK: true})
-					req.releasePayload()
-					continue
-				}
+		codec := newServerCodec(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(data), io.Discard})
+		defer codec.close()
+		for i := 0; i < 64; i++ {
+			var req Request
+			err := codec.readRequest(&req)
+			if err != nil {
+				// The server answers a protocol violation, then closes.
 				var pe *protoError
-				if errors.As(err, &pe) && !pe.fatal {
-					codec.writeResponse(&Response{Err: pe.msg, ProtoMax: pe.max})
-					continue
+				if errors.As(err, &pe) {
+					codec.writeResponse(&Response{Err: pe.msg})
 				}
-				break
+				return
 			}
-			codec.close()
+			// Frames that parse get a response written, exercising the
+			// encode side, and their payload released as the server would
+			// after processing.
+			codec.writeResponse(&Response{OK: true})
+			req.releasePayload()
 		}
 	})
 }

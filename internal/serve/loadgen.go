@@ -53,9 +53,6 @@ type LoadOptions struct {
 	// image payload transfer off the wire (recorded entries that already
 	// carry the flag keep it either way).
 	NoImage bool
-	// Proto pins the client protocol version (1 or 2); 0 negotiates,
-	// landing on v2 against a current daemon.
-	Proto int
 
 	// Logf receives progress lines; nil is silent.
 	Logf func(format string, args ...any)
@@ -98,8 +95,6 @@ type LoadReport struct {
 	// over lookups of the squash-result and prep caches.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	PrepHitRate  float64 `json:"prep_hit_rate"`
-	// Proto is the wire protocol version the load connections spoke.
-	Proto int `json:"proto,omitempty"`
 	// Wire throughput: bytes crossing the load connections (both
 	// directions, headers and envelopes included; the stats probes before
 	// and after the run are not counted).
@@ -113,7 +108,6 @@ type LoadReport struct {
 // as each worker's client closes.
 type wireTotals struct {
 	in, out atomic.Int64
-	proto   atomic.Int64
 }
 
 // loadJob is one scheduled request: tMs is its recorded arrival offset
@@ -370,14 +364,13 @@ func (o *LoadOptions) worker(ch <-chan loadJob, hist *obs.Histogram, errCount *a
 		}
 		wire.in.Add(cl.BytesIn())
 		wire.out.Add(cl.BytesOut())
-		wire.proto.Store(int64(cl.Proto()))
 		cl.Close()
 		cl = nil
 	}
 	defer closeClient()
 	for j := range ch {
 		if cl == nil {
-			c, err := DialClientProto(o.Addr, o.Proto)
+			c, err := DialClient(o.Addr)
 			if err != nil {
 				errCount.Add(1)
 				continue
@@ -430,7 +423,6 @@ func (o *LoadOptions) report(mode string, conns, requests, objects, errCount int
 		DurationSec: wall.Seconds(),
 		Latency:     LoadLatency{P50: qs[0], P90: qs[1], P99: qs[2], Max: qs[3], Mean: mean},
 	}
-	rep.Proto = int(wire.proto.Load())
 	rep.BytesIn = wire.in.Load()
 	rep.BytesOut = wire.out.Load()
 	if s := wall.Seconds(); s > 0 {
@@ -460,12 +452,12 @@ func hitRateDelta(h0, h1, m0, m1 uint64) float64 {
 // fetchStats asks the daemon for its stats snapshot over a fresh
 // connection.
 func fetchStats(addr string) (*Snapshot, error) {
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	resp, err := Do(conn, &Request{Op: OpStats})
+	defer cl.Close()
+	resp, err := cl.Do(&Request{Op: OpStats})
 	if err != nil {
 		return nil, err
 	}

@@ -16,16 +16,15 @@ import (
 	"sync/atomic"
 )
 
-// poolingOff disables the request-scratch pool when set. This is the serve
-// layer's own switch (cmd/squashd's -nopool flag flips it together with
-// core.SetPooling); responses are byte-identical either way.
+// poolingOff disables the request-scratch and frame pools when set. This
+// is the serve layer's own switch, a test seam for the equivalence tests
+// and the alloc benchmarks' fresh sides; responses are byte-identical
+// either way.
 var poolingOff atomic.Bool
 
-// SetPooling enables (the default) or disables the request-scratch pool.
+// SetPooling enables (the default) or disables the request-scratch and
+// frame pools.
 func SetPooling(on bool) { poolingOff.Store(!on) }
-
-// PoolingEnabled reports whether the request-scratch pool is active.
-func PoolingEnabled() bool { return !poolingOff.Load() }
 
 // maxScratchBytes bounds the per-buffer capacity the pool retains; a
 // pathologically large request's buffers are dropped for the GC.

@@ -9,22 +9,15 @@
 // object, profile, and configuration, the returned image is identical to
 // the one-shot tool's output file, at any request concurrency.
 //
-// Wire protocol: two framings, negotiated per connection by the first
-// client frame. Protocol v1 is length-prefixed JSON — a 4-byte
-// little-endian byte count followed by one JSON document (a Request from
-// client to server, a Response back). Protocol v2 (see frame.go) keeps a
-// JSON envelope for the small fields but moves every []byte payload into a
-// raw binary trailer referenced by (offset, length) sections, eliminating
-// base64 from the hot path. A connection carries any number of
-// request/response pairs in sequence, all in the version its first frame
-// latched; concurrency comes from opening multiple connections.
+// Wire protocol: binary v2 frames (see frame.go), a Request from client to
+// server and a Response back. Each frame keeps a JSON envelope for the
+// small fields and moves every []byte payload into a raw binary trailer
+// referenced by (offset, length) sections, so payloads cross the wire
+// without base64. A connection carries any number of request/response
+// pairs in sequence; concurrency comes from opening multiple connections.
 package serve
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net"
 	"strings"
 
@@ -32,9 +25,10 @@ import (
 	"repro/internal/profile"
 )
 
-// MaxFrame bounds one frame's JSON body. Squashed mediabench images are a
-// few hundred KB; 64 MB leaves room for far larger programs while keeping a
-// garbage length prefix from allocating unbounded memory.
+// MaxFrame bounds one frame's envelope plus payload trailer. Squashed
+// mediabench images are a few hundred KB; 64 MB leaves room for far larger
+// programs while keeping a garbage length field from allocating unbounded
+// memory.
 const MaxFrame = 64 << 20
 
 // Request operations.
@@ -134,9 +128,9 @@ type Request struct {
 	Run      *RunMeta `json:"run,omitempty"`
 	Force    bool     `json:"force,omitempty"`
 
-	// fb is the pooled v2 frame buffer this request's payload slices alias
-	// (nil for v1 requests, which copy during JSON decode). The dispatch
-	// path releases it once the request can no longer be read.
+	// fb is the pooled frame buffer this request's payload slices alias
+	// (nil for requests built in-process). The dispatch path releases it
+	// once the request can no longer be read.
 	fb *frameBuf
 }
 
@@ -159,7 +153,7 @@ type RunMeta struct {
 // releasePayload recycles the frame buffer backing Obj, Profile, and the
 // batch item payloads. Call only when no reference to those slices can
 // still be read — i.e. after process() returns, not when a timed-out
-// response is sent. Idempotent; a no-op for v1 requests.
+// response is sent. Idempotent; a no-op for requests built in-process.
 func (r *Request) releasePayload() {
 	r.fb.release()
 }
@@ -233,11 +227,6 @@ type Response struct {
 	// ImageKey echoes the registered image's content key on
 	// OpProfileRegister.
 	ImageKey string `json:"image_key,omitempty"`
-
-	// ProtoMax is set on version-negotiation error responses: the highest
-	// protocol version the server speaks. A client that opened with a
-	// newer version downgrades and resends.
-	ProtoMax int `json:"proto_max,omitempty"`
 }
 
 // FeedImageStatus is one registered image's aggregation state in the
@@ -327,59 +316,10 @@ type BackendStatus struct {
 // ClusterSnapshot is the router's OpCluster answer: per-backend status
 // plus the merged per-backend snapshots.
 type ClusterSnapshot struct {
-	Policy   string          `json:"policy"`
 	Backends []BackendStatus `json:"backends"`
 	// Merged aggregates the per-backend stats (MergeSnapshots of the
 	// latest probe snapshots).
 	Merged *Snapshot `json:"merged,omitempty"`
-}
-
-// WriteFrame marshals v and writes one length-prefixed v1 frame. Header
-// and body are staged in a pooled buffer and issued as a single Write, so
-// a TCP frame never splits into a 4-byte packet plus body under Nagle.
-func WriteFrame(w io.Writer, v any) error {
-	sc := getFrameScratch()
-	defer putFrameScratch(sc)
-	sc.env.Reset()
-	sc.env.Write([]byte{0, 0, 0, 0}) // length patched below
-	if err := sc.enc.Encode(v); err != nil {
-		return fmt.Errorf("serve: marshal frame: %w", err)
-	}
-	frame := sc.env.Bytes()
-	if n := len(frame); n > 0 && frame[n-1] == '\n' {
-		frame = frame[:n-1] // Encoder's newline is not part of the frame
-	}
-	body := len(frame) - 4
-	if body > MaxFrame {
-		return fmt.Errorf("serve: frame of %d bytes exceeds limit %d", body, MaxFrame)
-	}
-	binary.LittleEndian.PutUint32(frame[:4], uint32(body))
-	_, err := w.Write(frame)
-	return err
-}
-
-// ReadFrame reads one length-prefixed v1 frame into v. The body passes
-// through a pooled buffer; JSON decode copies every field, so nothing in v
-// aliases it afterwards.
-func ReadFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("serve: frame of %d bytes exceeds limit %d", n, MaxFrame)
-	}
-	fb := getFrameBuf(int(n))
-	defer fb.release()
-	body := fb.data[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("serve: unmarshal frame: %w", err)
-	}
-	return nil
 }
 
 // Dial connects to a daemon address: "unix:/path/to.sock", "tcp:host:port",
@@ -413,16 +353,4 @@ func SplitAddr(addr string) (string, string) {
 	default:
 		return "tcp", addr
 	}
-}
-
-// Do sends one request and reads its response over conn.
-func Do(conn net.Conn, req *Request) (*Response, error) {
-	if err := WriteFrame(conn, req); err != nil {
-		return nil, err
-	}
-	resp := &Response{}
-	if err := ReadFrame(conn, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
 }

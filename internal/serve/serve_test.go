@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -120,19 +123,19 @@ func TestServeDeterminismConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := Dial(addr)
+			cl, err := DialClient(addr)
 			if err != nil {
 				errs <- fmt.Errorf("client %d: dial: %v", c, err)
 				return
 			}
-			defer conn.Close()
+			defer cl.Close()
 			for i := 0; i < reqsPerClient; i++ {
 				w := loads[(c+i)%len(loads)]
 				conf := w.conf
 				// Vary the request's worker count: the daemon must stay
 				// byte-identical regardless (cache keys ignore workers).
 				conf.Workers = 1 + (c+i)%4
-				resp, err := Do(conn, &Request{Op: OpSquash, Obj: w.obj, Profile: w.prof, Config: &conf})
+				resp, err := cl.Do(&Request{Op: OpSquash, Obj: w.obj, Profile: w.prof, Config: &conf})
 				if err != nil {
 					errs <- fmt.Errorf("client %d req %d: %v", c, i, err)
 					return
@@ -189,16 +192,22 @@ func TestServeShutdownDrainsInFlight(t *testing.T) {
 	s, addr, _ := startServer(t, Options{Workers: 2})
 	s.testDelay.Store(int64(150 * time.Millisecond))
 
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 
 	// Fire the request and give the server time to pull it onto a worker.
-	if err := WriteFrame(conn, &Request{Op: OpSquash, Obj: obj, Profile: prof}); err != nil {
-		t.Fatalf("write request: %v", err)
+	type result struct {
+		resp *Response
+		err  error
 	}
+	inFlight := make(chan result, 1)
+	go func() {
+		resp, err := cl.Do(&Request{Op: OpSquash, Obj: obj, Profile: prof})
+		inFlight <- result{resp, err}
+	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for s.StatsSnapshot().InFlight == 0 {
 		if time.Now().After(deadline) {
@@ -215,10 +224,11 @@ func TestServeShutdownDrainsInFlight(t *testing.T) {
 	}()
 
 	// The in-flight request must complete with the correct bytes.
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatalf("read response during shutdown: %v", err)
+	res := <-inFlight
+	if res.err != nil {
+		t.Fatalf("read response during shutdown: %v", res.err)
 	}
+	resp := res.resp
 	if !resp.OK {
 		t.Fatalf("in-flight request failed during shutdown: %s", resp.Err)
 	}
@@ -229,8 +239,8 @@ func TestServeShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	// The connection was drained closed: the next read reports EOF.
-	if err := ReadFrame(conn, &resp); err == nil {
+	// The connection was drained closed: the next exchange fails.
+	if _, err := cl.Do(&Request{Op: OpPing}); err == nil {
 		t.Fatal("connection still serving after drain")
 	}
 	// And new connections are refused.
@@ -248,13 +258,13 @@ func TestServeRequestTimeout(t *testing.T) {
 	defer stop()
 	s.testDelay.Store(int64(500 * time.Millisecond))
 
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 	obj, prof, _ := buildWorkload(t, 7, core.DefaultConfig())
-	resp, err := Do(conn, &Request{Op: OpSquash, Obj: obj, Profile: prof})
+	resp, err := cl.Do(&Request{Op: OpSquash, Obj: obj, Profile: prof})
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
@@ -270,7 +280,7 @@ func TestServeRequestTimeout(t *testing.T) {
 	// The timed-out squash may still hold the single worker; wait for it.
 	pingOK := false
 	for d := time.Now().Add(5 * time.Second); time.Now().Before(d); {
-		r, err := Do(conn, &Request{Op: OpPing})
+		r, err := cl.Do(&Request{Op: OpPing})
 		if err != nil {
 			t.Fatalf("ping after timeout: %v", err)
 		}
@@ -289,11 +299,11 @@ func TestServeRequestTimeout(t *testing.T) {
 func TestServeBadRequests(t *testing.T) {
 	s, addr, stop := startServer(t, Options{Workers: 1})
 	defer stop()
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 
 	cases := []*Request{
 		{Op: "nonsense"},
@@ -302,7 +312,7 @@ func TestServeBadRequests(t *testing.T) {
 		{Op: OpBench, Bench: "no-such-benchmark"},
 	}
 	for _, req := range cases {
-		resp, err := Do(conn, req)
+		resp, err := cl.Do(req)
 		if err != nil {
 			t.Fatalf("op %q: transport error: %v", req.Op, err)
 		}
@@ -317,7 +327,7 @@ func TestServeBadRequests(t *testing.T) {
 		t.Fatalf("errors = %d, want %d", snap.Errors, len(cases))
 	}
 	// The connection survives all of it.
-	if resp, err := Do(conn, &Request{Op: OpPing}); err != nil || !resp.OK {
+	if resp, err := cl.Do(&Request{Op: OpPing}); err != nil || !resp.OK {
 		t.Fatalf("ping after bad requests: resp=%+v err=%v", resp, err)
 	}
 }
@@ -329,14 +339,16 @@ func TestServeStatsInline(t *testing.T) {
 	s.testDelay.Store(int64(300 * time.Millisecond))
 
 	obj, prof, _ := buildWorkload(t, 9, core.DefaultConfig())
-	busy, err := Dial(addr)
+	busy, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer busy.Close()
-	if err := WriteFrame(busy, &Request{Op: OpSquash, Obj: obj, Profile: prof}); err != nil {
-		t.Fatalf("write: %v", err)
-	}
+	busyDone := make(chan error, 1)
+	go func() {
+		_, err := busy.Do(&Request{Op: OpSquash, Obj: obj, Profile: prof})
+		busyDone <- err
+	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for s.StatsSnapshot().InFlight == 0 {
 		if time.Now().After(deadline) {
@@ -345,13 +357,13 @@ func TestServeStatsInline(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 	start := time.Now()
-	resp, err := Do(conn, &Request{Op: OpStats})
+	resp, err := cl.Do(&Request{Op: OpStats})
 	if err != nil || !resp.OK || resp.Server == nil {
 		t.Fatalf("stats: resp=%+v err=%v", resp, err)
 	}
@@ -362,8 +374,7 @@ func TestServeStatsInline(t *testing.T) {
 		t.Fatal("stats snapshot does not show the in-flight squash")
 	}
 	// Let the busy request finish so shutdown drains promptly.
-	var busyResp Response
-	if err := ReadFrame(busy, &busyResp); err != nil {
+	if err := <-busyDone; err != nil {
 		t.Fatalf("busy response: %v", err)
 	}
 }
@@ -418,26 +429,41 @@ func TestResultCacheEvicts(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip: frames survive the wire and oversized frames are
-// rejected on both sides.
+// TestFrameRoundTrip: frames survive the wire and frames over MaxFrame
+// are rejected on both sides — the writer refuses to emit one, and the
+// reader refuses a header claiming one before allocating its body.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	in := &Request{Op: OpSquash, Obj: []byte{1, 2, 3}, Profile: []byte{4, 5}}
-	if err := WriteFrame(&buf, in); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	var out Request
-	if err := ReadFrame(&buf, &out); err != nil {
+	br := bufio.NewReader(bytes.NewReader(encodeV2Request(t, in)))
+	fb, env, pay, err := readFrameBodyV2(br)
+	if err != nil {
 		t.Fatalf("read: %v", err)
+	}
+	sc := getFrameScratch()
+	defer putFrameScratch(sc)
+	var out Request
+	if err := decodeRequestV2(sc, env, pay, fb, &out); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if out.Op != in.Op || !bytes.Equal(out.Obj, in.Obj) || !bytes.Equal(out.Profile, in.Profile) {
 		t.Fatalf("round trip mutated the request: %+v", out)
 	}
+	out.releasePayload()
 
-	// A hostile length prefix must not allocate.
+	// The writer refuses a payload past the limit. The slice is never
+	// written, so its pages are not touched.
+	bw := bufio.NewWriter(io.Discard)
+	if err := writeRequestV2(bw, sc, &Request{Op: OpSquash, Obj: make([]byte, MaxFrame+1)}); err == nil {
+		t.Fatal("oversized frame written")
+	}
+
+	// A header one byte over the limit is refused without allocating.
 	var hdr bytes.Buffer
-	hdr.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if err := ReadFrame(&hdr, &out); err == nil {
+	hdr.Write(v2Frame("", nil))
+	b := hdr.Bytes()
+	binary.LittleEndian.PutUint32(b[4:8], 1)
+	binary.LittleEndian.PutUint32(b[8:12], MaxFrame)
+	if _, _, _, err := readFrameBodyV2(bufio.NewReader(&hdr)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }

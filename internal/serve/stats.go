@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -29,8 +28,6 @@ type metrics struct {
 	prepErrors               uint64
 
 	batchFrames, batchObjects, batchShared uint64
-
-	protoConns map[string]uint64
 
 	inFlight int
 
@@ -145,19 +142,6 @@ func (m *metrics) prepError() {
 	m.prepErrC.Inc()
 }
 
-// proto records the protocol version a connection latched with its first
-// frame (one count per connection, not per frame).
-func (m *metrics) proto(ver int) {
-	label := fmt.Sprintf("v%d", ver)
-	m.mu.Lock()
-	if m.protoConns == nil {
-		m.protoConns = map[string]uint64{}
-	}
-	m.protoConns[label]++
-	m.mu.Unlock()
-	m.reg.Counter("squashd_proto_conns_total", obs.L("proto", label)).Inc()
-}
-
 // batch records one OpBatch frame: how many objects it carried and how
 // many were within-batch duplicates served from a sibling's result.
 func (m *metrics) batch(objects, shared int) {
@@ -204,10 +188,6 @@ type Snapshot struct {
 	BatchObjects uint64 `json:"batch_objects"`
 	BatchShared  uint64 `json:"batch_shared"`
 
-	// ProtoConns counts connections by the wire-protocol version their
-	// first frame latched ("v1", "v2").
-	ProtoConns map[string]uint64 `json:"proto_conns,omitempty"`
-
 	Latency Latency `json:"latency"`
 }
 
@@ -230,12 +210,6 @@ func (m *metrics) snapshot() *Snapshot {
 	}
 	for op, n := range m.requests {
 		s.Requests[op] = n
-	}
-	if len(m.protoConns) > 0 {
-		s.ProtoConns = map[string]uint64{}
-		for v, n := range m.protoConns {
-			s.ProtoConns[v] = n
-		}
 	}
 	m.mu.Unlock()
 
@@ -285,12 +259,6 @@ func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 		out.BatchFrames += s.BatchFrames
 		out.BatchObjects += s.BatchObjects
 		out.BatchShared += s.BatchShared
-		for v, n := range s.ProtoConns {
-			if out.ProtoConns == nil {
-				out.ProtoConns = map[string]uint64{}
-			}
-			out.ProtoConns[v] += n
-		}
 		out.Latency.Count += s.Latency.Count
 		out.Latency.P50 = max(out.Latency.P50, s.Latency.P50)
 		out.Latency.P90 = max(out.Latency.P90, s.Latency.P90)

@@ -5,7 +5,7 @@
 # with pools enabled and with pools bypassed the way the code allocated
 # before pooling (BenchmarkBitIOAlloc/{pooled,fresh}, BenchmarkRegionEncode-
 # Alloc, BenchmarkLZTokenDecodeAlloc, BenchmarkRequestScratch, and
-# BenchmarkFrameCodecAlloc — the v2/v1 wire codec pair). This script runs
+# BenchmarkFrameCodecAlloc — the wire codec's frame buffers). This script runs
 # them all with -benchmem; CI pipes the output into
 #
 #   go run ./cmd/benchhist -allocs alloc.txt

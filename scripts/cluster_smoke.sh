@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # cluster_smoke.sh — end-to-end proof of the squashrouter tier. It:
 #
-#   1. checks byte-identity through the router for every routing policy
-#      (hash, least-conn, ordered): batch frames through a 3-backend
-#      cluster must produce SHA-256-identical images to one-shot
+#   1. checks byte-identity through the router: batch frames through a
+#      3-backend cluster must produce SHA-256-identical images to one-shot
 #      cmd/squash, with within-batch sharing intact;
 #   2. records a seeded multi-key request mix, replays it with
 #      cmd/squashload against a fresh single daemon (the hit-rate
@@ -55,7 +54,7 @@ echo "== preparing $bench1 and an inline workload =="
   "$work/$bench1.o" > /dev/null
 h_one=$(sha256sum "$work/$bench1.oneshot.exe" | cut -d' ' -f1)
 
-# Three fresh backends for the policy identity checks.
+# Three fresh backends for the identity check.
 backs=()
 for i in 1 2 3; do
   sock="unix:$work/backend$i.sock"
@@ -72,40 +71,36 @@ backends_csv=$(IFS=,; echo "${backs[*]}")
 "$work/squashd" -connect "${backs[0]}" -bench "$bench1" -o "$work/$bench1.ref.exe" > /dev/null
 h_bench=$(sha256sum "$work/$bench1.ref.exe" | cut -d' ' -f1)
 
-echo "== byte-identity per routing policy =="
-for policy in hash least-conn ordered; do
-  front="unix:$work/router-$policy.sock"
-  "$work/squashrouter" -listen "$front" -backends "$backends_csv" \
-    -route "$policy" -check-interval 500ms 2> "$work/router-$policy.log" &
-  rpid=$!
-  pids+=($rpid)
-  wait_up "$front"
-  for proto in 1 2; do
-    out="$work/$policy-v$proto"
-    mkdir -p "$out"
-    "$work/squashd" -connect "$front" -proto "$proto" -out-dir "$out" \
-      -batch "$work/$bench1.o:$work/$bench1.prof,$work/$bench1.o:$work/$bench1.prof,$bench1" \
-      > "$out/batch.out"
-    for img in batch-00 batch-01; do
-      h=$(sha256sum "$out/$img.sqz.exe" | cut -d' ' -f1)
-      if [ "$h" != "$h_one" ]; then
-        echo "FAIL: $policy v$proto $img differs from one-shot squash ($h vs $h_one)" >&2
-        exit 1
-      fi
-    done
-    h=$(sha256sum "$out/batch-02.sqz.exe" | cut -d' ' -f1)
-    if [ "$h" != "$h_bench" ]; then
-      echo "FAIL: $policy v$proto bench item differs from direct-backend output ($h vs $h_bench)" >&2
-      exit 1
-    fi
-    grep -q "shared in batch" "$out/batch.out" || {
-      echo "FAIL: $policy v$proto lost within-batch sharing across the split" >&2
-      exit 1
-    }
-  done
-  kill -TERM "$rpid"; wait "$rpid" || { echo "FAIL: router ($policy) exited non-zero on SIGTERM" >&2; exit 1; }
-  echo "$policy: v1+v2 batch images identical to one-shot (sha256 $h_one)"
+echo "== byte-identity through the router =="
+front="unix:$work/router-identity.sock"
+"$work/squashrouter" -listen "$front" -backends "$backends_csv" \
+  -check-interval 500ms 2> "$work/router-identity.log" &
+rpid=$!
+pids+=($rpid)
+wait_up "$front"
+out="$work/identity"
+mkdir -p "$out"
+"$work/squashd" -connect "$front" -out-dir "$out" \
+  -batch "$work/$bench1.o:$work/$bench1.prof,$work/$bench1.o:$work/$bench1.prof,$bench1" \
+  > "$out/batch.out"
+for img in batch-00 batch-01; do
+  h=$(sha256sum "$out/$img.sqz.exe" | cut -d' ' -f1)
+  if [ "$h" != "$h_one" ]; then
+    echo "FAIL: routed $img differs from one-shot squash ($h vs $h_one)" >&2
+    exit 1
+  fi
 done
+h=$(sha256sum "$out/batch-02.sqz.exe" | cut -d' ' -f1)
+if [ "$h" != "$h_bench" ]; then
+  echo "FAIL: routed bench item differs from direct-backend output ($h vs $h_bench)" >&2
+  exit 1
+fi
+grep -q "shared in batch" "$out/batch.out" || {
+  echo "FAIL: routed batch lost within-batch sharing across the split" >&2
+  exit 1
+}
+kill -TERM "$rpid"; wait "$rpid" || { echo "FAIL: router exited non-zero on SIGTERM" >&2; exit 1; }
+echo "batch images identical to one-shot (sha256 $h_one)"
 
 echo "== recording a seeded multi-key mix =="
 rec_sock="unix:$work/recorder.sock"
@@ -156,7 +151,7 @@ cbackends_csv=$(IFS=,; echo "${cbacks[*]}")
 front="unix:$work/router.sock"
 admin="unix:$work/router-admin.sock"
 "$work/squashrouter" -listen "$front" -admin "$admin" -backends "$cbackends_csv" \
-  -route hash -check-interval 300ms -fail-after 2 2> "$work/router.log" &
+  -check-interval 300ms -fail-after 2 2> "$work/router.log" &
 router_pid=$!
 pids+=($router_pid)
 wait_up "$front"
@@ -244,4 +239,4 @@ fi
 
 kill -TERM "$router_pid"; wait "$router_pid" || { echo "FAIL: router exited non-zero on SIGTERM" >&2; exit 1; }
 
-echo "cluster smoke passed: policies identical, failover clean, per-backend caches >= baseline"
+echo "cluster smoke passed: routed images identical, failover clean, per-backend caches >= baseline"

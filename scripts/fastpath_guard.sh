@@ -16,11 +16,6 @@
 # instruction memo), and the LZ dictionary-coder image (-coder lz,
 # exercising the table-driven token decoder).
 #
-# Buffer pooling gets the same treatment: each bench is squashed once more
-# with -nopool and the image must be byte-identical to the pooled default,
-# and the image is executed with em-run -nopool (bypassing the runtime
-# decompressor's pooled bit readers) with identical output and stats.
-#
 # Usage: scripts/fastpath_guard.sh [bench ...]   (default: adpcm g721_enc gsm)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -72,27 +67,6 @@ check_variant() {
   sed 's/^/  /' "$work/$b.$label.fast.stats"
 }
 
-# check_nopool <bench>
-# Squashes with buffer pooling disabled and demands the image match the
-# pooled default byte for byte, then executes it with em-run -nopool
-# (bypassing the runtime decompressor's pooled bit readers) and compares
-# output and stats against the pooled default's fast run.
-check_nopool() {
-  local b=$1
-  local nop="$work/$b.nopool.sqz.exe"
-  "$work/squash" -nopool -profile "$work/$b.prof" -o "$nop" "$work/$b.o" > /dev/null
-  cmp "$work/$b.default.sqz.exe" "$nop" || {
-    echo "FAIL: $b squashed image differs with -nopool" >&2; exit 1; }
-  echo "$b [nopool] image identical to pooled default"
-
-  "$work/em-run" -stats -nopool -in "$work/$b.time.in" "$nop" \
-    > "$work/$b.nopool.out" 2> "$work/$b.nopool.stats" || true
-  cmp "$work/$b.default.fast.out" "$work/$b.nopool.out" || {
-    echo "FAIL: $b output differs with em-run -nopool" >&2; exit 1; }
-  diff "$work/$b.default.fast.stats" "$work/$b.nopool.stats" || {
-    echo "FAIL: $b simulated stats differ with em-run -nopool" >&2; exit 1; }
-}
-
 for b in "${benches[@]}"; do
   echo "== $b =="
   "$work/mediabench" -only "$b" -dir "$work"
@@ -102,7 +76,6 @@ for b in "${benches[@]}"; do
     "$work/$b.exe" > /dev/null
 
   check_variant "$b" default
-  check_nopool "$b"
   check_variant "$b" interp -interpret -theta 0.001 -stub-capacity 64
   check_variant "$b" lz -coder lz
 done

@@ -5,12 +5,8 @@
 # cmd/squash and once through a live squashd socket, and requires identical
 # SHA-256 of the two images. The same request is then repeated to confirm
 # the daemon's warm result cache serves hits (visible in -stats) that are
-# still byte-identical. A proto-compat leg then crosses protocol versions:
-# clients pinned to v1 and v2 against the default (v2) daemon, and an
-# unpinned client plus a pinned-v1 client against a second daemon capped at
-# proto v1 with pooling off — every image must hash identically to the
-# one-shot squash regardless of wire framing or pooling. Finally the daemon
-# is shut down with SIGTERM and must exit cleanly.
+# still byte-identical, and a stats-only (-noimage) request must carry no
+# image. Finally the daemon is shut down with SIGTERM and must exit cleanly.
 #
 # Usage: scripts/squashd_smoke.sh [bench ...]   (default: adpcm)
 set -euo pipefail
@@ -21,10 +17,8 @@ benches=("$@")
 
 work=$(mktemp -d)
 daemon_pid=""
-old_pid=""
 cleanup() {
   [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null
-  [ -n "$old_pid" ] && kill "$old_pid" 2>/dev/null
   rm -rf "$work"
 }
 trap cleanup EXIT
@@ -79,19 +73,8 @@ for b in "${benches[@]}"; do
     echo "FAIL: $b squashed outputs differ between daemon and one-shot" >&2; exit 1; }
 done
 
-echo "-- proto-compat --"
+echo "-- noimage --"
 b="${benches[0]}"
-want=$(sha256sum "$work/$b.oneshot.exe" | cut -d' ' -f1)
-
-# Clients pinned to each protocol version against the default (v2) daemon.
-for pv in 1 2; do
-  "$work/squashd" -connect "$sock" -proto "$pv" -profile "$work/$b.prof" \
-    -o "$work/$b.proto$pv.exe" "$work/$b.o" > /dev/null
-  h=$(sha256sum "$work/$b.proto$pv.exe" | cut -d' ' -f1)
-  [ "$h" = "$want" ] || {
-    echo "FAIL: pinned proto v$pv image differs from one-shot ($h vs $want)" >&2; exit 1; }
-done
-echo "pinned v1/v2 clients match one-shot: sha256 $want"
 
 # A stats-only request must omit image bytes but report real stats.
 noimg_out=$("$work/squashd" -connect "$sock" -noimage -profile "$work/$b.prof" \
@@ -100,33 +83,6 @@ grep -q "image omitted" <<< "$noimg_out" || {
   echo "FAIL: -noimage response still carried an image" >&2; exit 1; }
 [ ! -e "$work/$b.noimg.exe" ] || {
   echo "FAIL: -noimage wrote an image file" >&2; exit 1; }
-
-# A daemon capped at proto v1 with pooling off, standing in for a pre-v2
-# build: a negotiating client must downgrade transparently, a pinned-v1
-# client must interop, and both must produce one-shot-identical bytes.
-old_sock="unix:$work/squashd_v1.sock"
-"$work/squashd" -listen "$old_sock" -serve-workers 2 -proto-max 1 -nopool \
-  2> "$work/squashd_v1.log" &
-old_pid=$!
-for _ in $(seq 50); do
-  "$work/squashd" -connect "$old_sock" -ping > /dev/null 2>&1 && break
-  sleep 0.1
-done
-ping_out=$("$work/squashd" -connect "$old_sock" -ping)
-grep -q "proto v1" <<< "$ping_out" || {
-  echo "FAIL: client did not downgrade against the v1-capped daemon: $ping_out" >&2; exit 1; }
-for pv in 0 1; do
-  "$work/squashd" -connect "$old_sock" -proto "$pv" -profile "$work/$b.prof" \
-    -o "$work/$b.capped$pv.exe" "$work/$b.o" > /dev/null
-  h=$(sha256sum "$work/$b.capped$pv.exe" | cut -d' ' -f1)
-  [ "$h" = "$want" ] || {
-    echo "FAIL: v1-capped daemon (client -proto $pv) image differs ($h vs $want)" >&2; exit 1; }
-done
-echo "v1-capped -nopool daemon matches one-shot: sha256 $want"
-
-kill -TERM "$old_pid"
-wait "$old_pid" || { echo "FAIL: v1-capped daemon exited non-zero on SIGTERM" >&2; exit 1; }
-old_pid=""
 
 echo "-- stats --"
 "$work/squashd" -connect "$sock" -stats | tee "$work/stats.json"
