@@ -35,7 +35,7 @@ var (
 func benchSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suite, suiteErr = experiments.LoadCached(0.05, 0, ".prepcache")
+		suite, suiteErr = experiments.LoadCachedObs(0.05, 0, ".prepcache", nil)
 	})
 	if suiteErr != nil {
 		b.Fatal(suiteErr)

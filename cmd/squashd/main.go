@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -38,7 +37,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/regions"
+	"repro/internal/obs/obshttp"
 	"repro/internal/serve"
 )
 
@@ -69,19 +68,7 @@ func main() {
 	// Squash configuration, mirroring cmd/squash.
 	profIn := flag.String("profile", "", "basic-block profile from em-run -profile")
 	out := flag.String("o", "", "output image (default: input with .sqz.exe suffix)")
-	theta := flag.Float64("theta", 0.0, "cold-code threshold θ (fraction of dynamic instructions)")
-	k := flag.Int("K", 512, "runtime buffer bound in bytes")
-	gamma := flag.Float64("gamma", 0.66, "assumed compression factor for region selection")
-	noPack := flag.Bool("no-pack", false, "disable region packing")
-	loopAware := flag.Bool("loop-aware", false, "seed regions from natural loops (§9 extension)")
-	interpret := flag.Bool("interpret", false, "interpret compressed code in place instead of decompressing (§8 alternative)")
-	noBufferSafe := flag.Bool("no-buffersafe", false, "disable buffer-safe call analysis")
-	noUnswitch := flag.Bool("no-unswitch", false, "disable jump-table unswitching")
-	mtf := flag.Bool("mtf", false, "use the move-to-front stream coder variant")
-	coder := flag.String("coder", "stream", "region coder: stream (split-stream, §3) or lz (dictionary, §8)")
-	ctStubs := flag.Bool("compile-time-stubs", false, "materialize restore stubs statically (ablation)")
-	stubCap := flag.Int("stub-capacity", 16, "runtime restore-stub slots")
-	workers := flag.Int("workers", 0, "worker goroutines for one squash (0 = one per CPU); output is byte-identical at any count")
+	squashConf := core.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	switch {
@@ -96,22 +83,9 @@ func main() {
 			PrepCacheDir: *prepDir,
 		}, *metricsAddr, *traceOut, *record)
 	case *connect != "":
-		conf := core.Config{
-			Theta:                   *theta,
-			BufferSafe:              !*noBufferSafe,
-			Unswitch:                !*noUnswitch,
-			MTF:                     *mtf,
-			Coder:                   coderID(*coder),
-			Interpret:               *interpret,
-			CompileTimeRestoreStubs: *ctStubs,
-			StubCapacity:            *stubCap,
-			Workers:                 *workers,
-		}
-		conf.Regions.K = *k
-		conf.Regions.Gamma = *gamma
-		conf.Regions.Pack = !*noPack
-		if *loopAware {
-			conf.Regions.Strategy = regions.StrategyLoopAware
+		conf, err := squashConf()
+		if err != nil {
+			fail(err)
 		}
 		runClient(*connect, clientArgs{
 			stats: *stats, ping: *ping,
@@ -153,7 +127,7 @@ func runServer(addr string, opts serve.Options, metricsAddr, traceOut, recordPat
 
 	var httpSrv *http.Server
 	if metricsAddr != "" {
-		httpSrv = &http.Server{Addr: metricsAddr, Handler: metricsMux(s)}
+		httpSrv = &http.Server{Addr: metricsAddr, Handler: obshttp.Handler(s.Obs().Metrics)}
 		go func() {
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "squashd: metrics server: %v\n", err)
@@ -188,28 +162,6 @@ func runServer(addr string, opts serve.Options, metricsAddr, traceOut, recordPat
 			fail(err)
 		}
 	}
-}
-
-// metricsMux exposes the daemon's registry in both export formats plus the
-// standard pprof handlers (explicitly wired: the mux is private, so the
-// net/http/pprof side effects on DefaultServeMux don't apply).
-func metricsMux(s *serve.Server) *http.ServeMux {
-	reg := s.Obs().Metrics
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
 // writeTrace dumps the accumulated spans as Chrome trace-event JSON and
@@ -385,18 +337,6 @@ func must(resp *serve.Response, err error) *serve.Response {
 		fail(fmt.Errorf("server: %s", resp.Err))
 	}
 	return resp
-}
-
-func coderID(name string) int {
-	switch name {
-	case "stream":
-		return core.CoderStream
-	case "lz":
-		return core.CoderLZ
-	default:
-		fail(fmt.Errorf("unknown coder %q (want stream or lz)", name))
-		return 0
-	}
 }
 
 func fail(err error) {

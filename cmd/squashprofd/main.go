@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -34,8 +33,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/obshttp"
 	"repro/internal/profilefeed"
-	"repro/internal/regions"
 	"repro/internal/serve"
 )
 
@@ -69,19 +68,7 @@ func main() {
 
 	// Squash configuration for -register, mirroring cmd/squash: the exact
 	// config the image was squashed with, reused verbatim on re-squash.
-	theta := flag.Float64("theta", 0.0, "cold-code threshold θ used at squash time")
-	k := flag.Int("K", 512, "runtime buffer bound in bytes")
-	gamma := flag.Float64("gamma", 0.66, "assumed compression factor for region selection")
-	noPack := flag.Bool("no-pack", false, "disable region packing")
-	loopAware := flag.Bool("loop-aware", false, "seed regions from natural loops")
-	interpret := flag.Bool("interpret", false, "interpret compressed code in place")
-	noBufferSafe := flag.Bool("no-buffersafe", false, "disable buffer-safe call analysis")
-	noUnswitch := flag.Bool("no-unswitch", false, "disable jump-table unswitching")
-	mtf := flag.Bool("mtf", false, "move-to-front stream coder variant")
-	coder := flag.String("coder", "stream", "region coder: stream or lz")
-	ctStubs := flag.Bool("compile-time-stubs", false, "materialize restore stubs statically")
-	stubCap := flag.Int("stub-capacity", 16, "runtime restore-stub slots")
-	workers := flag.Int("workers", 0, "worker goroutines for one squash (0 = one per CPU)")
+	squashConf := core.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	switch {
@@ -102,22 +89,9 @@ func main() {
 			OutDir:        *outDir,
 		}, *metricsAddr)
 	case *connect != "":
-		conf := core.Config{
-			Theta:                   *theta,
-			BufferSafe:              !*noBufferSafe,
-			Unswitch:                !*noUnswitch,
-			MTF:                     *mtf,
-			Coder:                   coderID(*coder),
-			Interpret:               *interpret,
-			CompileTimeRestoreStubs: *ctStubs,
-			StubCapacity:            *stubCap,
-			Workers:                 *workers,
-		}
-		conf.Regions.K = *k
-		conf.Regions.Gamma = *gamma
-		conf.Regions.Pack = !*noPack
-		if *loopAware {
-			conf.Regions.Strategy = regions.StrategyLoopAware
+		conf, err := squashConf()
+		if err != nil {
+			fail(err)
 		}
 		runClient(*connect, clientArgs{
 			ping: *ping, register: *register, objPath: *objPath, profPath: *profPath,
@@ -150,7 +124,7 @@ func runServer(addr string, opts profilefeed.Options, metricsAddr string) {
 
 	var httpSrv *http.Server
 	if metricsAddr != "" {
-		httpSrv = &http.Server{Addr: metricsAddr, Handler: metricsMux(col.Obs())}
+		httpSrv = &http.Server{Addr: metricsAddr, Handler: obshttp.Handler(col.Obs().Metrics)}
 		go func() {
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "squashprofd: metrics server: %v\n", err)
@@ -183,26 +157,6 @@ func runServer(addr string, opts profilefeed.Options, metricsAddr string) {
 			fail(err)
 		}
 	}
-}
-
-// metricsMux mirrors squashd's: both export formats plus explicit pprof.
-func metricsMux(rec *obs.Recorder) *http.ServeMux {
-	reg := rec.Metrics
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
 type clientArgs struct {
@@ -311,18 +265,6 @@ func must(resp *serve.Response, err error) *serve.Response {
 		fail(fmt.Errorf("collector: %s", resp.Err))
 	}
 	return resp
-}
-
-func coderID(name string) int {
-	switch name {
-	case "stream":
-		return core.CoderStream
-	case "lz":
-		return core.CoderLZ
-	default:
-		fail(fmt.Errorf("unknown coder %q (want stream or lz)", name))
-		return 0
-	}
 }
 
 func fail(err error) {

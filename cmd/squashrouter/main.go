@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -31,6 +30,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/obs/obshttp"
 	"repro/internal/serve"
 )
 
@@ -99,19 +99,7 @@ func main() {
 
 	var httpSrv *http.Server
 	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		reg := s.Obs().Metrics
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WritePrometheus(w)
-		})
-		mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			reg.WriteJSON(w)
-		})
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		httpSrv = &http.Server{Addr: *metricsAddr, Handler: mux}
+		httpSrv = &http.Server{Addr: *metricsAddr, Handler: obshttp.Handler(s.Obs().Metrics)}
 		go func() {
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "squashrouter: metrics server: %v\n", err)

@@ -37,15 +37,6 @@ func (r *Result) SafeCount() int {
 	return n
 }
 
-// Analyze computes buffer safety for every function. compressed maps block
-// labels chosen for compression; addressTaken marks functions whose address
-// escapes (they may be called from anywhere, including compressed code, but
-// that does not make them unsafe by itself — only being unable to enumerate
-// *their* callees does).
-func Analyze(p *cfg.Program, compressed map[string]bool) *Result {
-	return AnalyzeWorkers(p, compressed, 1)
-}
-
 // funcScan is the per-function slice of the call graph, computed
 // independently per function and merged in function order.
 type funcScan struct {
@@ -54,10 +45,14 @@ type funcScan struct {
 	ownsCompressed     bool
 }
 
-// AnalyzeWorkers is Analyze with the per-function call-graph scan fanned
-// out over the given worker count (<= 0 means one per CPU). Each function's
-// scan touches only that function's blocks, and the merged graph is a set
-// union, so the result is identical at any worker count.
+// AnalyzeWorkers computes buffer safety for every function. compressed maps
+// block labels chosen for compression. A function whose address escapes may
+// be called from anywhere, including compressed code, but that does not
+// make it unsafe by itself — only being unable to enumerate *its* callees
+// does. The per-function call-graph scan is fanned out over the given
+// worker count (<= 0 means one per CPU). Each function's scan touches only
+// that function's blocks, and the merged graph is a set union, so the
+// result is identical at any worker count.
 func AnalyzeWorkers(p *cfg.Program, compressed map[string]bool, workers int) *Result {
 	owner := map[string]string{} // block label -> function name
 	for _, f := range p.Funcs {

@@ -64,7 +64,7 @@ const program = `
 func TestAnalyze(t *testing.T) {
 	p := build(t, program)
 	compressed := map[string]bool{"cold1": true}
-	r := Analyze(p, compressed)
+	r := AnalyzeWorkers(p, compressed, 1)
 	want := map[string]bool{
 		"main":           false, // calls cold1
 		"warm":           true,
@@ -85,7 +85,7 @@ func TestAnalyze(t *testing.T) {
 
 func TestUnknownFunctionUnsafe(t *testing.T) {
 	p := build(t, program)
-	r := Analyze(p, nil)
+	r := AnalyzeWorkers(p, nil, 1)
 	if r.IsSafe("nonexistent") {
 		t.Error("unknown function reported safe")
 	}
@@ -93,7 +93,7 @@ func TestUnknownFunctionUnsafe(t *testing.T) {
 
 func TestNoCompressionAllSafeExceptIndirect(t *testing.T) {
 	p := build(t, program)
-	r := Analyze(p, nil)
+	r := AnalyzeWorkers(p, nil, 1)
 	for _, fn := range []string{"main", "warm", "leaf", "cold1", "caller_of_cold"} {
 		if !r.IsSafe(fn) {
 			t.Errorf("with nothing compressed, %s should be safe", fn)
@@ -132,7 +132,7 @@ func TestCallSiteStats(t *testing.T) {
 `
 	p := build(t, src)
 	compressed := map[string]bool{"coldcaller": true, "unsafecold": true}
-	r := Analyze(p, compressed)
+	r := AnalyzeWorkers(p, compressed, 1)
 	safe, total := CallSiteStats(p, compressed, r)
 	if total != 2 || safe != 1 {
 		t.Fatalf("CallSiteStats = %d/%d, want 1/2", safe, total)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/asm"
@@ -72,5 +73,58 @@ func FuzzSquash(f *testing.F) {
 		if string(base.Output) != string(sq.Output) || base.Status != sq.Status {
 			t.Fatalf("seed %d conf %+v: behaviour diverged", seed, conf)
 		}
+	})
+}
+
+// FuzzUnmarshalMeta feeds arbitrary bytes to UnmarshalMeta and then to the
+// coder-table decoder behind Compressor, seeded with the metadata of a
+// program squashed by the split-stream, MTF and LZ coders. Neither may
+// panic or over-allocate, and any metadata UnmarshalMeta accepts must
+// serialize back to the same bytes.
+func FuzzUnmarshalMeta(f *testing.F) {
+	obj, err := asm.Assemble(testprog.Random(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	im, err := objfile.Link("main", obj)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m := vm.New(im, []byte("profile input"))
+	m.EnableProfile()
+	if err := m.Run(); err != nil {
+		f.Fatal(err)
+	}
+	for _, set := range []func(*Config){
+		func(*Config) {},
+		func(c *Config) { c.MTF = true },
+		func(c *Config) { c.Coder = CoderLZ },
+	} {
+		conf := DefaultConfig()
+		conf.Theta = 0.5
+		set(&conf)
+		out, err := Squash(obj, m.ProfileCounts(), conf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if len(out.Meta.OffsetTable) == 0 {
+			f.Fatal("seed program squashed to no regions")
+		}
+		f.Add(out.Image.Meta)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, err := UnmarshalMeta(data)
+		if err != nil {
+			return
+		}
+		back, err := meta.MarshalBinary()
+		if err != nil {
+			t.Fatalf("re-encode of accepted metadata failed: %v", err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("accepted metadata does not round-trip: %d bytes in, %d out", len(data), len(back))
+		}
+		meta.Compressor()
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/binfmt"
 	"repro/internal/huffman"
 	"repro/internal/isa"
 	"repro/internal/lzcomp"
@@ -107,108 +108,57 @@ func (m *Meta) Compressor() (RegionCoder, error) {
 	}
 }
 
-// MarshalBinary encodes the metadata.
+// MarshalBinary encodes the metadata:
+//
+//	magic "SQM1" | decomp u32 | stub area u32 | stub capacity u32
+//	| runtime buffer u32 | K u32 | flags u32
+//	| offset table: count u32, u32... | blob: size u32, bytes...
+//	| tables: size u32, bytes...
 func (m *Meta) MarshalBinary() ([]byte, error) {
-	le := binary.LittleEndian
-	var out []byte
-	u32 := func(v uint32) { var b [4]byte; le.PutUint32(b[:], v); out = append(out, b[:]...) }
-	out = append(out, 'S', 'Q', 'M', '1')
-	u32(m.DecompAddr)
-	u32(m.StubAreaAddr)
-	u32(uint32(m.StubCapacity))
-	u32(m.RtBufAddr)
-	u32(uint32(m.K))
 	flags := uint32(m.Coder) << 8
 	if m.Interpret {
 		flags |= 1
 	}
-	u32(flags)
-	u32(uint32(len(m.OffsetTable)))
-	for _, v := range m.OffsetTable {
-		u32(v)
+	le := binary.LittleEndian
+	out := []byte("SQM1")
+	for _, v := range []uint32{m.DecompAddr, m.StubAreaAddr, uint32(m.StubCapacity), m.RtBufAddr, uint32(m.K), flags, uint32(len(m.OffsetTable))} {
+		out = le.AppendUint32(out, v)
 	}
-	u32(uint32(len(m.Blob)))
-	out = append(out, m.Blob...)
-	u32(uint32(len(m.Tables)))
-	out = append(out, m.Tables...)
+	for _, v := range m.OffsetTable {
+		out = le.AppendUint32(out, v)
+	}
+	out = append(le.AppendUint32(out, uint32(len(m.Blob))), m.Blob...)
+	out = append(le.AppendUint32(out, uint32(len(m.Tables))), m.Tables...)
 	return out, nil
 }
 
 // UnmarshalMeta decodes metadata written by MarshalBinary.
 func UnmarshalMeta(data []byte) (*Meta, error) {
-	if len(data) < 4 || string(data[:4]) != "SQM1" {
+	r := binfmt.NewReader(data, "core: metadata")
+	if string(r.Bytes(4)) != "SQM1" {
 		return nil, fmt.Errorf("core: bad metadata magic")
 	}
-	le := binary.LittleEndian
-	pos := 4
-	u32 := func() (uint32, error) {
-		if pos+4 > len(data) {
-			return 0, fmt.Errorf("core: truncated metadata at byte %d", pos)
-		}
-		v := le.Uint32(data[pos:])
-		pos += 4
-		return v, nil
+	m := &Meta{
+		DecompAddr:   r.U32(),
+		StubAreaAddr: r.U32(),
+		StubCapacity: int(r.U32()),
+		RtBufAddr:    r.U32(),
+		K:            int(r.U32()),
 	}
-	m := &Meta{}
-	var err error
-	if m.DecompAddr, err = u32(); err != nil {
-		return nil, err
-	}
-	if m.StubAreaAddr, err = u32(); err != nil {
-		return nil, err
-	}
-	cap32, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	m.StubCapacity = int(cap32)
-	if m.RtBufAddr, err = u32(); err != nil {
-		return nil, err
-	}
-	k32, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	m.K = int(k32)
-	flags, err := u32()
-	if err != nil {
-		return nil, err
+	flags := r.U32()
+	if flags&0xFE != 0 {
+		return nil, fmt.Errorf("core: unknown metadata flags %#x", flags&0xFF)
 	}
 	m.Interpret = flags&1 == 1
 	m.Coder = int(flags >> 8)
-	n, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > (len(data)-pos)/4 {
-		return nil, fmt.Errorf("core: implausible offset table size %d", n)
-	}
-	m.OffsetTable = make([]uint32, n)
+	m.OffsetTable = make([]uint32, r.Count(uint64(r.U32()), 4, "offset table size"))
 	for i := range m.OffsetTable {
-		if m.OffsetTable[i], err = u32(); err != nil {
-			return nil, err
-		}
+		m.OffsetTable[i] = r.U32()
 	}
-	bl, err := u32()
-	if err != nil {
+	m.Blob = append([]byte(nil), r.Bytes(int(r.U32()))...)
+	m.Tables = append([]byte(nil), r.Bytes(int(r.U32()))...)
+	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	if int(bl) > len(data)-pos {
-		return nil, fmt.Errorf("core: truncated blob")
-	}
-	m.Blob = append([]byte(nil), data[pos:pos+int(bl)]...)
-	pos += int(bl)
-	tl, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(tl) > len(data)-pos {
-		return nil, fmt.Errorf("core: truncated tables")
-	}
-	m.Tables = append([]byte(nil), data[pos:pos+int(tl)]...)
-	pos += int(tl)
-	if pos != len(data) {
-		return nil, fmt.Errorf("core: %d trailing metadata bytes", len(data)-pos)
 	}
 	return m, nil
 }

@@ -109,8 +109,10 @@ func NewRuntime(meta *Meta) (*Runtime, error) {
 		comp:      comp,
 		curRegion: -1,
 		memo:      make([]*regionImage, len(meta.OffsetTable)),
-		slots:     make([]stubSlot, meta.StubCapacity),
-		byTag:     map[uint32]int{},
+		// Slots are added on first use, up to StubCapacity: the capacity is
+		// decoded from the image, so it must not size an allocation.
+		slots: make([]stubSlot, 0, min(meta.StubCapacity, 16)),
+		byTag: map[uint32]int{},
 	}
 	if meta.Interpret {
 		// Regions decode lazily on first entry (see enterInterpRegion); the
@@ -222,7 +224,11 @@ func (rt *Runtime) allocStub(m *vm.Machine, tag uint32, reg uint32) (uint32, err
 			}
 		}
 		if idx < 0 {
-			return 0, fmt.Errorf("core: restore-stub area exhausted (%d slots)", rt.meta.StubCapacity)
+			if len(rt.slots) >= rt.meta.StubCapacity {
+				return 0, fmt.Errorf("core: restore-stub area exhausted (%d slots)", rt.meta.StubCapacity)
+			}
+			idx = len(rt.slots)
+			rt.slots = append(rt.slots, stubSlot{})
 		}
 		rt.slots[idx] = stubSlot{live: true, tag: tag, count: 1, reg: reg}
 		rt.byTag[tag] = idx

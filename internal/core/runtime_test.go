@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -125,6 +127,23 @@ func TestRuntimeStubExhaustion(t *testing.T) {
 	// If one slot sufficed, the run must still be correct.
 	if rt.Stats.LiveStubs != 0 {
 		t.Fatal("stub leak")
+	}
+}
+
+// TestNewRuntimeHugeStubCapacity: the stub capacity is decoded from the
+// image, so a hostile 2³²−1 must not size the runtime's slot table.
+func TestNewRuntimeHugeStubCapacity(t *testing.T) {
+	meta := *squashTestProgram(t, nil).Meta
+	meta.StubCapacity = math.MaxUint32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewRuntime(&meta)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("NewRuntime allocated %d bytes", alloc)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/asm"
+	"repro/internal/binfmt"
 	"repro/internal/cfg"
 	"repro/internal/mediabench"
 	"repro/internal/objfile"
@@ -28,7 +29,7 @@ import (
 //
 //   - an in-memory layer, always on, so repeated Load calls in one process
 //     (tests, benchmarks, the matrix CLI) prepare each benchmark once;
-//   - an optional on-disk layer (LoadCached / experiments -cache), so
+//   - an optional on-disk layer (LoadCachedObs / experiments -cache), so
 //     repeated CLI runs skip preparation entirely when program and inputs
 //     are unchanged.
 //
@@ -42,7 +43,7 @@ import (
 // prepCacheFormat versions both the content key and the payload encoding.
 const prepCacheFormat = 1
 
-var prepMagic = [4]byte{'E', 'M', 'C', '1'}
+const prepMagic = "EMC1"
 
 // prepPayload is one benchmark's cached preparation result. All fields are
 // immutable after construction; Benches are decoded fresh from it per Load.
@@ -173,14 +174,10 @@ var prepWarnf = func(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
-// prepareCached is prepare() behind the two cache layers. It reports whether
-// the result came from a cache (memory or disk).
-func prepareCached(spec mediabench.Spec, scale float64, dir string) (*Bench, bool, error) {
-	return prepareCachedObs(spec, scale, dir, nil)
-}
-
-// prepareCachedObs is prepareCached with the caller's per-bench span; the
-// preparation stages appear as its children on a cache miss.
+// prepareCachedObs is prepare() behind the two cache layers, with the
+// caller's per-bench span (nil for none); the preparation stages appear as
+// its children on a cache miss. It reports whether the result came from a
+// cache (memory or disk).
 func prepareCachedObs(spec mediabench.Spec, scale float64, dir string, sp *obs.Span) (*Bench, bool, error) {
 	if scale != 1.0 {
 		spec.ProfBytes = scaleSize(spec.ProfBytes, scale)
@@ -226,7 +223,7 @@ func PrepareSpec(name string, scale float64, cacheDir string) (*Bench, bool, err
 	if !ok {
 		return nil, false, fmt.Errorf("experiments: unknown benchmark %q", name)
 	}
-	return prepareCached(spec, scale, cacheDir)
+	return prepareCachedObs(spec, scale, cacheDir, nil)
 }
 
 // --- disk layer ----------------------------------------------------------
@@ -240,63 +237,35 @@ func prepFilePath(dir string, key [32]byte) string {
 //	magic "EMC1" | inputInsts u32 | squeeze stats (8 × u32)
 //	| obj len u32, obj bytes | prof len u32, prof bytes
 func marshalPayload(p *prepPayload) []byte {
-	var buf bytes.Buffer
-	buf.Write(prepMagic[:])
-	w := func(v int) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		buf.Write(b[:])
+	le := binary.LittleEndian
+	out := []byte(prepMagic)
+	for _, v := range p.ints() {
+		out = le.AppendUint32(out, uint32(*v))
 	}
-	w(p.inputInsts)
-	st := p.stats
-	for _, v := range []int{st.InputInsts, st.OutputInsts, st.FuncsRemoved, st.BlocksRemoved,
-		st.InstsUnreachable, st.NopsRemoved, st.AbstractedFuncs, st.AbstractedSavings} {
-		w(v)
-	}
-	w(len(p.obj))
-	buf.Write(p.obj)
-	w(len(p.prof))
-	buf.Write(p.prof)
-	return buf.Bytes()
+	out = append(le.AppendUint32(out, uint32(len(p.obj))), p.obj...)
+	return append(le.AppendUint32(out, uint32(len(p.prof))), p.prof...)
+}
+
+// ints lists the payload's integer fields in encoding order.
+func (p *prepPayload) ints() []*int {
+	st := &p.stats
+	return []*int{&p.inputInsts, &st.InputInsts, &st.OutputInsts, &st.FuncsRemoved, &st.BlocksRemoved,
+		&st.InstsUnreachable, &st.NopsRemoved, &st.AbstractedFuncs, &st.AbstractedSavings}
 }
 
 func unmarshalPayload(data []byte) (*prepPayload, error) {
-	if len(data) < 4 || !bytes.Equal(data[:4], prepMagic[:]) {
+	r := binfmt.NewReader(data, "prep cache")
+	if string(r.Bytes(len(prepMagic))) != prepMagic {
 		return nil, fmt.Errorf("prep cache: bad magic")
 	}
-	pos := 4
-	r := func() (int, error) {
-		if pos+4 > len(data) {
-			return 0, fmt.Errorf("prep cache: truncated at byte %d", pos)
-		}
-		v := binary.LittleEndian.Uint32(data[pos:])
-		pos += 4
-		return int(v), nil
-	}
 	p := &prepPayload{}
-	fields := []*int{&p.inputInsts,
-		&p.stats.InputInsts, &p.stats.OutputInsts, &p.stats.FuncsRemoved, &p.stats.BlocksRemoved,
-		&p.stats.InstsUnreachable, &p.stats.NopsRemoved, &p.stats.AbstractedFuncs, &p.stats.AbstractedSavings}
-	for _, f := range fields {
-		v, err := r()
-		if err != nil {
-			return nil, err
-		}
-		*f = v
+	for _, v := range p.ints() {
+		*v = int(r.U32())
 	}
-	for _, dst := range []*[]byte{&p.obj, &p.prof} {
-		n, err := r()
-		if err != nil {
-			return nil, err
-		}
-		if n > len(data)-pos {
-			return nil, fmt.Errorf("prep cache: declared size %d exceeds file size", n)
-		}
-		*dst = append([]byte(nil), data[pos:pos+n]...)
-		pos += n
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("prep cache: %d trailing bytes", len(data)-pos)
+	p.obj = append([]byte(nil), r.Bytes(int(r.U32()))...)
+	p.prof = append([]byte(nil), r.Bytes(int(r.U32()))...)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -55,7 +55,7 @@ func TestPrepCacheHitMatchesMiss(t *testing.T) {
 	dir := t.TempDir()
 
 	resetPrepCache()
-	miss, hit, err := prepareCached(spec, 0.05, dir)
+	miss, hit, err := prepareCachedObs(spec, 0.05, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPrepCacheHitMatchesMiss(t *testing.T) {
 
 	// Disk hit: memory layer cleared, payload comes from the file.
 	resetPrepCache()
-	fromDisk, hit, err := prepareCached(spec, 0.05, dir)
+	fromDisk, hit, err := prepareCachedObs(spec, 0.05, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPrepCacheHitMatchesMiss(t *testing.T) {
 	}
 
 	// Memory hit: same process, no disk needed.
-	fromMem, hit, err := prepareCached(spec, 0.05, "")
+	fromMem, hit, err := prepareCachedObs(spec, 0.05, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPrepCacheCorruptionRecovers(t *testing.T) {
 	dir := t.TempDir()
 
 	resetPrepCache()
-	fresh, _, err := prepareCached(spec, 0.05, dir)
+	fresh, _, err := prepareCachedObs(spec, 0.05, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPrepCacheCorruptionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	resetPrepCache()
-	recovered, hit, err := prepareCached(spec, 0.05, dir)
+	recovered, hit, err := prepareCachedObs(spec, 0.05, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +172,9 @@ func TestPrepCacheWriteFailureDegrades(t *testing.T) {
 	defer func() { prepWarnf = origWarn }()
 
 	resetPrepCache()
-	b, hit, err := prepareCached(spec, 0.05, notADir)
+	b, hit, err := prepareCachedObs(spec, 0.05, notADir, nil)
 	if err != nil {
-		t.Fatalf("prepareCached failed on unwritable cache dir: %v", err)
+		t.Fatalf("prepareCachedObs failed on unwritable cache dir: %v", err)
 	}
 	if hit {
 		t.Fatal("fresh cache reported a hit")
@@ -186,7 +186,7 @@ func TestPrepCacheWriteFailureDegrades(t *testing.T) {
 		t.Fatal("failed disk write produced no warning")
 	}
 	// The in-memory layer was still populated: the retry is a hit.
-	again, hit, err := prepareCached(spec, 0.05, notADir)
+	again, hit, err := prepareCachedObs(spec, 0.05, notADir, nil)
 	if err != nil || !hit {
 		t.Fatalf("memory layer not populated after disk failure: hit=%v err=%v", hit, err)
 	}
@@ -207,9 +207,9 @@ func TestPrepScaleClampsToOne(t *testing.T) {
 
 	spec := adpcmSpec(t)
 	resetPrepCache()
-	b, _, err := prepareCached(spec, 1e-9, "")
+	b, _, err := prepareCachedObs(spec, 1e-9, "", nil)
 	if err != nil {
-		t.Fatalf("prepareCached at tiny scale: %v", err)
+		t.Fatalf("prepareCachedObs at tiny scale: %v", err)
 	}
 	if b.Spec.ProfBytes < 1 || b.Spec.TimeBytes < 1 {
 		t.Fatalf("scaled inputs truncated to zero: prof=%d time=%d",
@@ -221,17 +221,17 @@ func TestPrepScaleClampsToOne(t *testing.T) {
 	}
 }
 
-// TestLoadCachedSuiteHits: a second LoadCached of the full suite is served
+// TestLoadCachedSuiteHits: a second LoadCachedObs of the full suite is served
 // entirely from cache and matches the first load bench-for-bench — the
 // property that lets matrix runs share preparation.
 func TestLoadCachedSuiteHits(t *testing.T) {
 	// The first load warms the in-memory layer for any benchmark an earlier
 	// test evicted; the reload must then hit on every benchmark.
-	first, err := LoadCached(0.05, 0, "")
+	first, err := LoadCachedObs(0.05, 0, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := LoadCached(0.05, 0, "")
+	again, err := LoadCachedObs(0.05, 0, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

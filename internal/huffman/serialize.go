@@ -3,6 +3,8 @@ package huffman
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/binfmt"
 )
 
 // The compressed program stores, for each stream, the "code representation
@@ -44,62 +46,62 @@ func (c *Code) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes tables produced by MarshalBinary.
 func (c *Code) UnmarshalBinary(data []byte) error {
-	pos := 0
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("huffman: truncated code table at byte %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	maxLen, err := next()
-	if err != nil {
-		return err
-	}
+	r := binfmt.NewReader(data, "huffman: code table")
+	maxLen := r.Uvarint()
 	if maxLen > MaxCodeLen {
 		return fmt.Errorf("huffman: declared max codeword length %d exceeds limit %d", maxLen, MaxCodeLen)
 	}
-	c.N = make([]int, maxLen+1)
-	total := 0
-	for i := 1; i <= int(maxLen); i++ {
-		n, err := next()
-		if err != nil {
-			return err
-		}
-		c.N[i] = int(n)
-		total += int(n)
-		if total > 1<<26 {
-			return fmt.Errorf("huffman: implausible codeword count %d", total)
-		}
+	// Each N[i] and each D value takes at least one uvarint byte.
+	c.N = make([]int, 1+r.Count(maxLen, 1, "max codeword length"))
+	total := uint64(0)
+	for i := 1; i < len(c.N); i++ {
+		c.N[i] = r.Count(r.Uvarint(), 1, "codeword count")
+		total += uint64(c.N[i])
 	}
-	c.D = make([]uint32, 0, total)
-	for i := 1; i <= int(maxLen); i++ {
-		var prev uint64
-		for k := 0; k < c.N[i]; k++ {
-			d, err := next()
-			if err != nil {
-				return err
-			}
-			var v uint64
+	c.D = make([]uint32, 0, r.Count(total, 1, "codeword count"))
+	for _, n := range c.N {
+		var v uint64
+		for k := 0; k < n; k++ {
 			if k == 0 {
-				v = d
+				v = r.Uvarint()
 			} else {
-				v = prev + d
+				v += r.Uvarint() // ascending within a length class
 			}
 			if v > 1<<32-1 {
 				return fmt.Errorf("huffman: value %d exceeds 32 bits", v)
 			}
 			c.D = append(c.D, uint32(v))
-			prev = v
 		}
 	}
-	if pos != len(data) {
-		return fmt.Errorf("huffman: %d trailing bytes after code table", len(data)-pos)
+	if err := r.Done(); err != nil {
+		return err
 	}
 	c.enc = nil
 	c.dec = nil
 	return nil
+}
+
+// AppendFramed appends c's tables with the u24 length prefix the
+// split-stream and LZ coders store them under.
+func (c *Code) AppendFramed(b []byte) ([]byte, error) {
+	blob, err := c.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	if len(blob) > 0xFFFFFF {
+		return nil, fmt.Errorf("huffman: code table too large")
+	}
+	return append(binfmt.Append24(b, len(blob)), blob...), nil
+}
+
+// ReadFramed reads a code written by AppendFramed. A failure is recorded
+// in r.
+func ReadFramed(r *binfmt.Reader) *Code {
+	c := &Code{}
+	if blob := r.Bytes(r.U24()); r.Err() == nil {
+		r.Fail(c.UnmarshalBinary(blob))
+	}
+	return c
 }
 
 // TableSize reports the serialized size in bytes of the code's N and D

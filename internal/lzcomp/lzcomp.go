@@ -26,6 +26,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/binfmt"
 	"repro/internal/huffman"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -495,77 +496,35 @@ func (c *Compressor) TableBytes() int {
 	return len(b)
 }
 
-func append24(out []byte, n int) []byte {
-	return append(out, byte(n), byte(n>>8), byte(n>>16))
-}
-
-func read24(data []byte, pos int) (int, int, error) {
-	if pos+3 > len(data) {
-		return 0, 0, fmt.Errorf("lzcomp: truncated length at byte %d", pos)
-	}
-	return int(data[pos]) | int(data[pos+1])<<8 | int(data[pos+2])<<16, pos + 3, nil
-}
-
 // MarshalBinary serializes the dictionary and the four token codes: a u24
-// dictionary length, the dictionary words little-endian, then each code as a
-// u24-length-prefixed huffman.Code blob in codes() order.
+// dictionary length, the dictionary words little-endian, then each code
+// framed by huffman.AppendFramed in codes() order.
 func (c *Compressor) MarshalBinary() ([]byte, error) {
-	var out []byte
-	out = append24(out, len(c.dict))
+	out := binfmt.Append24(nil, len(c.dict))
 	for _, w := range c.dict {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], w)
-		out = append(out, b[:]...)
+		out = binary.LittleEndian.AppendUint32(out, w)
 	}
 	for _, code := range c.codes() {
-		blob, err := code.MarshalBinary()
-		if err != nil {
+		var err error
+		if out, err = code.AppendFramed(out); err != nil {
 			return nil, err
 		}
-		if len(blob) > 0xFFFFFF {
-			return nil, fmt.Errorf("lzcomp: code table too large")
-		}
-		out = append24(out, len(blob))
-		out = append(out, blob...)
 	}
 	return out, nil
 }
 
 // UnmarshalBinary deserializes tables written by MarshalBinary.
 func (c *Compressor) UnmarshalBinary(data []byte) error {
-	n, pos, err := read24(data, 0)
-	if err != nil {
-		return err
-	}
-	if pos+4*n > len(data) {
-		return fmt.Errorf("lzcomp: truncated dictionary of %d words", n)
-	}
-	c.dict = make([]uint32, n)
-	c.dictIdx = make(map[uint32]int, n)
+	r := binfmt.NewReader(data, "lzcomp")
+	c.dict = make([]uint32, r.Count(uint64(r.U24()), 4, "dictionary size"))
+	c.dictIdx = make(map[uint32]int, len(c.dict))
 	c.dictInsts = nil
 	for i := range c.dict {
-		c.dict[i] = binary.LittleEndian.Uint32(data[pos:])
+		c.dict[i] = r.U32()
 		c.dictIdx[c.dict[i]] = i
-		pos += 4
 	}
-	codes := [4]**huffman.Code{&c.kindCode, &c.dictCode, &c.distCode, &c.lenCode}
-	for i, slot := range codes {
-		n, p, err := read24(data, pos)
-		if err != nil {
-			return err
-		}
-		pos = p
-		if pos+n > len(data) {
-			return fmt.Errorf("lzcomp: truncated table body for code %d", i)
-		}
-		*slot = &huffman.Code{}
-		if err := (*slot).UnmarshalBinary(data[pos : pos+n]); err != nil {
-			return fmt.Errorf("lzcomp: code %d: %w", i, err)
-		}
-		pos += n
+	for _, slot := range [4]**huffman.Code{&c.kindCode, &c.dictCode, &c.distCode, &c.lenCode} {
+		*slot = huffman.ReadFramed(&r)
 	}
-	if pos != len(data) {
-		return fmt.Errorf("lzcomp: %d trailing bytes", len(data)-pos)
-	}
-	return nil
+	return r.Done()
 }

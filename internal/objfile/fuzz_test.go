@@ -89,3 +89,34 @@ func FuzzReadImage(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadObject feeds arbitrary bytes to ReadObject, seeded with an
+// assembled object and one declaring 2³²−1 symbols: it must never panic or
+// over-allocate, and any input it accepts must serialize back to the same
+// bytes.
+func FuzzReadObject(f *testing.F) {
+	obj, err := asm.Assemble(testprog.Random(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := obj.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(append([]byte("EMO1"), hugeCountImage(false)[8:]...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		o, err := objfile.ReadObject(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := o.WriteTo(&buf); err != nil {
+			t.Fatalf("re-encode of accepted object failed: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted object does not round-trip: %d bytes in, %d out", len(data), buf.Len())
+		}
+	})
+}

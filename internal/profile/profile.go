@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/binfmt"
 	"repro/internal/cfg"
 )
 
@@ -18,10 +19,10 @@ import (
 // simulator's profiler.
 type Counts []uint64
 
-// WriteTo serializes the counts ("EMP1" magic, uvarint length, uvarint
-// deltas are overkill — counts are written as uvarints directly).
+// WriteTo serializes the counts: magic "EMP1", then the count of counts
+// and each count, all uvarints.
 func (c Counts) WriteTo(w io.Writer) (int64, error) {
-	buf := append([]byte("EMP1"), binary.AppendUvarint(nil, uint64(len(c)))...)
+	buf := binary.AppendUvarint([]byte("EMP1"), uint64(len(c)))
 	for _, v := range c {
 		buf = binary.AppendUvarint(buf, v)
 	}
@@ -30,40 +31,21 @@ func (c Counts) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadCounts deserializes a profile written by WriteTo.
-func ReadCounts(r io.Reader) (Counts, error) {
-	data, err := io.ReadAll(r)
+func ReadCounts(src io.Reader) (Counts, error) {
+	data, err := io.ReadAll(src)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 4 || string(data[:4]) != "EMP1" {
+	r := binfmt.NewReader(data, "profile")
+	if string(r.Bytes(4)) != "EMP1" {
 		return nil, fmt.Errorf("profile: bad magic")
 	}
-	pos := 4
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("profile: truncated at byte %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	length, err := next()
-	if err != nil {
-		return nil, err
-	}
-	// Every count occupies at least one uvarint byte, so a plausible length
-	// is bounded by the bytes remaining *after* the header — not by the whole
-	// input, which let a 4-byte body claim millions of counts and
-	// over-allocate the slice (8 bytes per claimed count) before the parse
-	// loop ever hit the truncation error.
-	if length > uint64(len(data)-pos) {
-		return nil, fmt.Errorf("profile: implausible count %d (only %d bytes of data)", length, len(data)-pos)
-	}
-	out := make(Counts, length)
+	out := make(Counts, r.Count(r.Uvarint(), 1, "count"))
 	for i := range out {
-		if out[i], err = next(); err != nil {
-			return nil, err
-		}
+		out[i] = r.Uvarint()
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

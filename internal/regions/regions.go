@@ -137,19 +137,14 @@ type Preds struct {
 	owner        map[string]*cfg.Func
 }
 
-// BuildPreds indexes the program.
-func BuildPreds(p *cfg.Program) *Preds {
-	return BuildPredsWorkers(p, 1)
-}
-
 // predEdges is one function's contribution to the predecessor graph.
 type predEdges struct {
 	flow, call [][2]string // (to, from) pairs
 	addrTaken  []string
 }
 
-// BuildPredsWorkers is BuildPreds with the per-function edge scan fanned
-// out over the given worker count (<= 0 means one per CPU). The edge sets
+// BuildPredsWorkers indexes the program, with the per-function edge scan
+// fanned out over the given worker count (<= 0 means one per CPU). The edge sets
 // are unions, so the merged graph is identical at any worker count.
 func BuildPredsWorkers(p *cfg.Program, workers int) *Preds {
 	pr := &Preds{

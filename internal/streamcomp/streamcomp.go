@@ -16,9 +16,11 @@
 package streamcomp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"repro/internal/binfmt"
 	"repro/internal/huffman"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -389,42 +391,27 @@ func (c *Compressor) TableBytes() int {
 	return len(b)
 }
 
-func append24(out []byte, n int) []byte {
-	return append(out, byte(n), byte(n>>8), byte(n>>16))
-}
-
-func read24(data []byte, pos int) (int, int, error) {
-	if pos+3 > len(data) {
-		return 0, 0, fmt.Errorf("streamcomp: truncated length at byte %d", pos)
-	}
-	return int(data[pos]) | int(data[pos+1])<<8 | int(data[pos+2])<<16, pos + 3, nil
-}
-
-// MarshalBinary serializes the code tables (and MTF alphabets, if any).
+// MarshalBinary serializes the code tables (and MTF alphabets, if any): an
+// MTF flag byte, each stream's code framed by huffman.AppendFramed, then
+// under MTF each stream's alphabet as a u24 size and ascending uvarint
+// deltas.
 func (c *Compressor) MarshalBinary() ([]byte, error) {
-	var out []byte
+	out := []byte{0}
 	if c.opts.MTF {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+		out[0] = 1
 	}
 	for _, code := range c.codes {
-		blob, err := code.MarshalBinary()
-		if err != nil {
+		var err error
+		if out, err = code.AppendFramed(out); err != nil {
 			return nil, err
 		}
-		if len(blob) > 0xFFFFFF {
-			return nil, fmt.Errorf("streamcomp: code table too large")
-		}
-		out = append24(out, len(blob))
-		out = append(out, blob...)
 	}
 	if c.opts.MTF {
 		for _, alpha := range c.alphabets {
-			out = append24(out, len(alpha))
+			out = binfmt.Append24(out, len(alpha))
 			prev := uint32(0)
 			for _, v := range alpha {
-				out = appendUvarint(out, uint64(v-prev)) // ascending deltas
+				out = binary.AppendUvarint(out, uint64(v-prev))
 				prev = v
 			}
 		}
@@ -432,72 +419,27 @@ func (c *Compressor) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-func appendUvarint(out []byte, v uint64) []byte {
-	for v >= 0x80 {
-		out = append(out, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(out, byte(v))
-}
-
 // UnmarshalBinary deserializes tables written by MarshalBinary.
 func (c *Compressor) UnmarshalBinary(data []byte) error {
-	if len(data) < 1 {
-		return fmt.Errorf("streamcomp: empty table blob")
-	}
-	c.opts.MTF = data[0] == 1
-	pos := 1
+	r := binfmt.NewReader(data, "streamcomp")
+	c.opts.MTF = r.Byte() == 1
 	for i := range c.codes {
-		n, p, err := read24(data, pos)
-		if err != nil {
-			return err
-		}
-		pos = p
-		if pos+n > len(data) {
-			return fmt.Errorf("streamcomp: truncated table body for stream %d", i)
-		}
-		c.codes[i] = &huffman.Code{}
-		if err := c.codes[i].UnmarshalBinary(data[pos : pos+n]); err != nil {
-			return fmt.Errorf("streamcomp: stream %d: %w", i, err)
-		}
-		pos += n
+		c.codes[i] = huffman.ReadFramed(&r)
 	}
+	c.alphabets = [isa.NumStreams][]uint32{}
 	if c.opts.MTF {
 		for i := range c.alphabets {
-			n, p, err := read24(data, pos)
-			if err != nil {
-				return err
-			}
-			pos = p
-			alpha := make([]uint32, n)
-			prev := uint64(0)
-			for k := 0; k < n; k++ {
-				var v uint64
-				var shift uint
-				for {
-					if pos >= len(data) {
-						return fmt.Errorf("streamcomp: truncated alphabet for stream %d", i)
-					}
-					b := data[pos]
-					pos++
-					v |= uint64(b&0x7F) << shift
-					if b < 0x80 {
-						break
-					}
-					shift += 7
-				}
-				prev += v
-				alpha[k] = uint32(prev)
+			// Each alphabet value is a uvarint delta of at least one byte.
+			alpha := make([]uint32, r.Count(uint64(r.U24()), 1, "alphabet size"))
+			prev := uint32(0)
+			for k := range alpha {
+				prev += uint32(r.Uvarint())
+				alpha[k] = prev
 			}
 			c.alphabets[i] = alpha
 		}
-	} else {
-		c.alphabets = [isa.NumStreams][]uint32{}
 	}
-	if pos != len(data) {
-		return fmt.Errorf("streamcomp: %d trailing bytes", len(data)-pos)
-	}
-	return nil
+	return r.Done()
 }
 
 // mtfState is a move-to-front recency list for one stream, seeded with the
