@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
@@ -126,5 +127,66 @@ func FuzzUnmarshalMeta(f *testing.F) {
 			t.Fatalf("accepted metadata does not round-trip: %d bytes in, %d out", len(data), len(back))
 		}
 		meta.Compressor()
+	})
+}
+
+// FuzzRunSquashedImage mutates a squashed image and its input and runs the
+// result twice under a small instruction budget: with the fast paths (the
+// predecoded VM, the region memo, the table-driven decoders) and without.
+// Images that fail to read, whose metadata fails to decode, or that no
+// runtime accepts are skipped. The rest may trap or loop, but never panic,
+// and both runs must agree on everything simulated.
+func FuzzRunSquashedImage(f *testing.F) {
+	for _, mod := range []func(*Config){
+		nil,
+		func(c *Config) { c.Interpret = true },
+		func(c *Config) { c.Coder = CoderLZ },
+	} {
+		var buf bytes.Buffer
+		if _, err := squashTestProgram(f, mod).Image.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes(), timingInput)
+	}
+
+	type result struct {
+		err           string
+		output        string
+		status        int32
+		insts, cycles uint64
+		stats         RuntimeStats
+	}
+	f.Fuzz(func(t *testing.T, image, input []byte) {
+		if len(input) > 256 {
+			input = input[:256]
+		}
+		im, err := objfile.ReadImage(bytes.NewReader(image))
+		if err != nil {
+			return
+		}
+		meta, err := UnmarshalMeta(im.Meta)
+		if err != nil {
+			return
+		}
+		run := func(fast bool) *result {
+			rt, err := NewRuntime(meta)
+			if err != nil {
+				return nil
+			}
+			rt.SetFastPath(fast)
+			m := vm.New(im, input)
+			m.DisableFastPath = !fast
+			m.MaxInstructions = 200_000
+			rt.Install(m)
+			err = m.Run()
+			return &result{fmt.Sprint(err), string(m.Output), m.Status, m.Instructions, m.Cycles, rt.Stats}
+		}
+		fast := run(true)
+		if fast == nil {
+			return
+		}
+		if slow := run(false); *slow != *fast {
+			t.Fatalf("fast and reference runs diverge:\nfast %+v\nslow %+v", *fast, *slow)
+		}
 	})
 }

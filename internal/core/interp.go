@@ -74,14 +74,20 @@ func (rt *Runtime) interpPC() uint32 {
 func (rt *Runtime) decodeInterpRegion(region int) (*interpRegion, error) {
 	ir := &interpRegion{}
 	pos := int32(1)
+	maxWords := rt.meta.K / isa.WordSize
 	_, err := rt.comp.Decompress(rt.meta.Blob, int(rt.meta.OffsetTable[region]), func(in isa.Inst) error {
+		words := int32(1)
+		if in.Op == isa.OpBSRX || in.Op == isa.OpJSRX {
+			words = 2
+		}
+		// The buffer runtime's bound: a corrupt stream may never reach its
+		// sentinel, since the bits past the end of the blob read as zeros.
+		if int(pos+words) > maxWords {
+			return fmt.Errorf("region overflows the %d-word virtual buffer", maxWords)
+		}
 		ir.insts = append(ir.insts, in)
 		ir.offs = append(ir.offs, pos)
-		if in.Op == isa.OpBSRX || in.Op == isa.OpJSRX {
-			pos += 2
-		} else {
-			pos++
-		}
+		pos += words
 		return nil
 	})
 	if err != nil {

@@ -142,14 +142,17 @@ func (rt *Runtime) Range() (uint32, uint32) {
 	return rt.meta.DecompAddr, rt.meta.DecompAddr + DecompWords*isa.WordSize
 }
 
+// inBuffer and inStubArea compute each area's end in uint64: K and
+// StubCapacity are decoded from the image, and an end past 2³² must not
+// wrap round to an empty area.
 func (rt *Runtime) inBuffer(addr uint32) bool {
-	return addr >= rt.meta.RtBufAddr && addr < rt.meta.RtBufAddr+uint32(rt.meta.K)
+	return addr >= rt.meta.RtBufAddr && uint64(addr) < uint64(rt.meta.RtBufAddr)+uint64(rt.meta.K)
 }
 
 func (rt *Runtime) inStubArea(addr uint32) bool {
 	return rt.meta.StubCapacity > 0 &&
 		addr >= rt.meta.StubAreaAddr &&
-		addr < rt.meta.StubAreaAddr+uint32(rt.meta.StubCapacity*StubSlotWords*isa.WordSize)
+		uint64(addr) < uint64(rt.meta.StubAreaAddr)+uint64(rt.meta.StubCapacity)*StubSlotWords*isa.WordSize
 }
 
 // Enter handles control arriving at a decompressor entry point.
@@ -242,8 +245,11 @@ func (rt *Runtime) allocStub(m *vm.Machine, tag uint32, reg uint32) (uint32, err
 		// then the tag word.
 		slotAddr := rt.slotAddr(idx)
 		entryWord := int32(rt.meta.DecompAddr)/isa.WordSize + int32(reg)
-		disp := entryWord - (int32(slotAddr)/isa.WordSize + 1)
-		if err := m.WriteWord(slotAddr, isa.Encode(isa.Br(isa.OpBSR, reg, disp))); err != nil {
+		w, err := branchWord(isa.OpBSR, reg, entryWord-(int32(slotAddr)/isa.WordSize+1))
+		if err != nil {
+			return 0, err
+		}
+		if err := m.WriteWord(slotAddr, w); err != nil {
 			return 0, err
 		}
 		if err := m.WriteWord(slotAddr+4, tag); err != nil {
@@ -254,6 +260,15 @@ func (rt *Runtime) allocStub(m *vm.Machine, tag uint32, reg uint32) (uint32, err
 		return 0, err
 	}
 	return rt.slotAddr(idx), nil
+}
+
+// branchWord encodes a branch whose displacement the image's layout sets:
+// a hostile layout can put the target out of the 21-bit range.
+func branchWord(op, ra uint32, disp int32) (uint32, error) {
+	if disp < -(1<<20) || disp >= 1<<20 {
+		return 0, fmt.Errorf("core: branch displacement %d out of range", disp)
+	}
+	return isa.Encode(isa.Br(op, ra, disp)), nil
 }
 
 func (rt *Runtime) slotAddr(idx int) uint32 {
@@ -336,22 +351,28 @@ func (rt *Runtime) decompressAndJump(m *vm.Machine, tag uint32) error {
 			pos++
 			return nil
 		}
+		// bsr reg -> the decompressor's CreateStub entry for reg.
+		emitCreateStubCall := func(reg uint32) error {
+			w, err := branchWord(isa.OpBSR, reg, decompWord+int32(reg)-(bufWord+int32(pos)+1))
+			if err != nil {
+				return err
+			}
+			return emit(w)
+		}
 		n, err := rt.comp.Decompress(rt.meta.Blob, int(rt.meta.OffsetTable[region]), func(in isa.Inst) error {
 			switch in.Op {
 			case isa.OpBSRX:
 				// Expanded direct call: bsr reg -> CreateStub entry, then the
 				// branch to the callee with the displacement stored in the
 				// compressed stream (relative to the word after the branch).
-				csDisp := decompWord + int32(in.RA) - (bufWord + int32(pos) + 1)
-				if err := emit(isa.Encode(isa.Br(isa.OpBSR, in.RA, csDisp))); err != nil {
+				if err := emitCreateStubCall(in.RA); err != nil {
 					return err
 				}
 				return emit(isa.Encode(isa.Br(isa.OpBR, isa.RegZero, in.Disp)))
 			case isa.OpJSRX:
 				// Expanded indirect call: bsr reg -> CreateStub entry, then a
 				// non-linking jump through the original target register.
-				csDisp := decompWord + int32(in.RA) - (bufWord + int32(pos) + 1)
-				if err := emit(isa.Encode(isa.Br(isa.OpBSR, in.RA, csDisp))); err != nil {
+				if err := emitCreateStubCall(in.RA); err != nil {
 					return err
 				}
 				return emit(isa.Encode(isa.Jump(isa.JmpJMP, isa.RegZero, in.RB, 0)))

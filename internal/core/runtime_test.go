@@ -12,7 +12,7 @@ import (
 
 // squashTestProgram builds a squashed image of the shared test program with
 // a small buffer so several regions form.
-func squashTestProgram(t *testing.T, mod func(*Config)) *Output {
+func squashTestProgram(t testing.TB, mod func(*Config)) *Output {
 	t.Helper()
 	obj, _, counts := prepare(t, testProgram, profInput)
 	conf := DefaultConfig()
@@ -144,6 +144,39 @@ func TestNewRuntimeHugeStubCapacity(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Fatalf("NewRuntime allocated %d bytes", alloc)
+	}
+}
+
+// TestHugeStubCapacityRunsLikeOwn: a capacity whose stub-area end lies
+// past 2³² must still recognise returns through the stub area, so the run
+// matches the one at the image's own capacity.
+func TestHugeStubCapacityRunsLikeOwn(t *testing.T) {
+	out := squashTestProgram(t, nil)
+	run := func(capacity int) (*vm.Machine, RuntimeStats) {
+		meta := *out.Meta
+		meta.StubCapacity = capacity
+		rt, err := NewRuntime(&meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := vm.New(out.Image, timingInput)
+		rt.Install(m)
+		if err := m.Run(); err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
+		}
+		return m, rt.Stats
+	}
+	own, ownStats := run(out.Meta.StubCapacity)
+	huge, hugeStats := run(math.MaxUint32)
+	if ownStats.RestoreReturns == 0 {
+		t.Fatal("test program makes no restore returns")
+	}
+	if string(huge.Output) != string(own.Output) || huge.Status != own.Status {
+		t.Fatalf("output diverged at capacity 2³²−1")
+	}
+	if hugeStats.RestoreReturns != ownStats.RestoreReturns || hugeStats.LiveStubs != ownStats.LiveStubs {
+		t.Fatalf("capacity 2³²−1: %d restore returns, %d live stubs; own capacity: %d, %d",
+			hugeStats.RestoreReturns, hugeStats.LiveStubs, ownStats.RestoreReturns, ownStats.LiveStubs)
 	}
 }
 

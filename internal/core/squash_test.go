@@ -119,7 +119,7 @@ seltab: .word cs0, cs1, cs2
 
 // prepare assembles the program, profiles it on profInput, and returns the
 // object, the baseline image, and the profile.
-func prepare(t *testing.T, src string, profInput []byte) (*objfile.Object, *objfile.Image, profile.Counts) {
+func prepare(t testing.TB, src string, profInput []byte) (*objfile.Object, *objfile.Image, profile.Counts) {
 	t.Helper()
 	obj, err := asm.Assemble(src)
 	if err != nil {

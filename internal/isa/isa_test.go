@@ -127,17 +127,17 @@ func TestOperandFieldsMatchFields(t *testing.T) {
 			continue
 		}
 		lit := in.Format == FormatOpLit
-		refs := OperandFields(in.Op, lit)
+		kinds := OperandFields(in.Op, lit)
 		fv := Fields(in)[1:]
-		if len(refs) != len(fv) {
-			t.Fatalf("OperandFields(%#x, %v) has %d entries, Fields has %d", in.Op, lit, len(refs), len(fv))
+		if len(kinds) != len(fv) {
+			t.Fatalf("OperandFields(%#x, %v) has %d entries, Fields has %d", in.Op, lit, len(kinds), len(fv))
 		}
-		for i := range refs {
-			if refs[i].Kind != fv[i].Kind {
-				t.Fatalf("field %d of %v: OperandFields says %v, Fields says %v", i, in, refs[i].Kind, fv[i].Kind)
+		for i, k := range kinds {
+			if k != fv[i].Kind {
+				t.Fatalf("field %d of %v: OperandFields says %v, Fields says %v", i, in, k, fv[i].Kind)
 			}
-			if fv[i].Value >= 1<<refs[i].Bits {
-				t.Fatalf("field %d of %v: value %d exceeds declared width %d bits", i, in, fv[i].Value, refs[i].Bits)
+			if fv[i].Value >= 1<<k.Bits() {
+				t.Fatalf("field %d of %v: value %d exceeds declared width %d bits", i, in, fv[i].Value, k.Bits())
 			}
 		}
 	}

@@ -52,6 +52,30 @@ var streamNames = [...]string{
 	StreamPalFunc: "pal.func",
 }
 
+// streamBits is the width of each stream's values in the raw encoding.
+var streamBits = [NumStreams]uint8{
+	StreamOpcode:  6,
+	StreamMemRA:   5,
+	StreamMemRB:   5,
+	StreamMemDisp: 16,
+	StreamBrRA:    5,
+	StreamBrDisp:  21,
+	StreamOpRA:    5,
+	StreamOpRB:    5,
+	StreamOpLit:   8,
+	StreamOpFunc:  8,
+	StreamOpRC:    5,
+	StreamJmpRA:   5,
+	StreamJmpRB:   5,
+	StreamJmpHint: 16,
+	StreamPalFunc: 26,
+}
+
+// Bits reports the width of stream k's values: a decoded value of 1<<Bits
+// or more comes from no instruction, and FromFields and Encode assume
+// every field fits.
+func (k StreamKind) Bits() uint { return uint(streamBits[k]) }
+
 func (k StreamKind) String() string {
 	if int(k) < len(streamNames) {
 		return streamNames[k]
@@ -59,32 +83,17 @@ func (k StreamKind) String() string {
 	return fmt.Sprintf("stream(%d)", uint8(k))
 }
 
-// FieldRef names one operand field of an instruction: which stream it
-// belongs to and how wide it is in the raw encoding.
-type FieldRef struct {
-	Kind StreamKind
-	Bits uint8
-}
-
 // fieldsByFormat lists, per format, the operand streams that follow the
 // opcode, in decode order. The opcode itself always comes from StreamOpcode.
-var fieldsByFormat = map[Format][]FieldRef{
-	FormatPal: {{StreamPalFunc, 26}},
-	FormatMem: {{StreamMemRA, 5}, {StreamMemRB, 5}, {StreamMemDisp, 16}},
-	FormatBranch: {
-		{StreamBrRA, 5}, {StreamBrDisp, 21},
-	},
+var fieldsByFormat = map[Format][]StreamKind{
+	FormatPal:    {StreamPalFunc},
+	FormatMem:    {StreamMemRA, StreamMemRB, StreamMemDisp},
+	FormatBranch: {StreamBrRA, StreamBrDisp},
 	// op.func precedes op.rb/op.lit: its high bit is the literal flag, which
 	// a sequential decoder needs before it can pick the next stream.
-	FormatOpReg: {
-		{StreamOpRA, 5}, {StreamOpFunc, 8}, {StreamOpRB, 5}, {StreamOpRC, 5},
-	},
-	FormatOpLit: {
-		{StreamOpRA, 5}, {StreamOpFunc, 8}, {StreamOpLit, 8}, {StreamOpRC, 5},
-	},
-	FormatJump: {
-		{StreamJmpRA, 5}, {StreamJmpRB, 5}, {StreamJmpHint, 16},
-	},
+	FormatOpReg:   {StreamOpRA, StreamOpFunc, StreamOpRB, StreamOpRC},
+	FormatOpLit:   {StreamOpRA, StreamOpFunc, StreamOpLit, StreamOpRC},
+	FormatJump:    {StreamJmpRA, StreamJmpRB, StreamJmpHint},
 	FormatIllegal: nil,
 }
 
@@ -93,7 +102,7 @@ var fieldsByFormat = map[Format][]FieldRef{
 // literal flag. This is the lookup the decompressor performs after decoding
 // each opcode: "the decoded opcode ... specif[ies] the appropriate Huffman
 // codes to use for the remaining fields" (paper, §3).
-func OperandFields(op uint32, litFlag bool) []FieldRef {
+func OperandFields(op uint32, litFlag bool) []StreamKind {
 	f := FormatOf(op)
 	if f == FormatOpReg && litFlag {
 		f = FormatOpLit

@@ -347,12 +347,12 @@ func (c *Compressor) Decompress(blob []byte, bitOff int, emit func(isa.Inst) err
 		case isa.FormatIllegal:
 			return r.BitsRead() - bitOff, fmt.Errorf("streamcomp: undecodable opcode %#x", op)
 		default:
-			for _, ref := range isa.OperandFields(op, false) {
-				v, err := c.decodeField(r, mtf, ref.Kind)
+			for _, k := range isa.OperandFields(op, false) {
+				v, err := c.decodeField(r, mtf, k)
 				if err != nil {
 					return r.BitsRead() - bitOff, err
 				}
-				fv = append(fv, isa.FieldValue{Kind: ref.Kind, Value: v})
+				fv = append(fv, isa.FieldValue{Kind: k, Value: v})
 			}
 		}
 		if err := emit(isa.FromFields(fv)); err != nil {
@@ -376,6 +376,9 @@ func (c *Compressor) decodeField(r *huffman.BitReader, mtf []*mtfState, k isa.St
 	}
 	if mtf != nil {
 		v = mtf[k].decode(v)
+	}
+	if v>>k.Bits() != 0 {
+		return 0, fmt.Errorf("streamcomp: %v stream: value %d exceeds %d bits", k, v, k.Bits())
 	}
 	return v, nil
 }

@@ -1,13 +1,15 @@
 package vm
 
-// Predecoded fast path. Step's hot loop used to re-derive operand fields and
-// re-dispatch on (Format, Op, Func) for every dynamic instruction. The decode
-// cache now stores a flat µop per text word — an operation kind plus resolved
-// register numbers and a pre-folded immediate — so executing a cached
-// instruction is one dense switch on the kind. Predecode happens at most once
-// per cache fill; the existing invalidation points (WriteWord, STB,
-// InvalidateRange) drop the µop together with the decoded instruction, so
-// self-modifying code and the decompressor's buffer writes are re-predecoded.
+// Predecoded fast path. The interpreter's hot loop used to re-derive operand
+// fields and re-dispatch on (Format, Op, Func) for every dynamic instruction.
+// The decode cache now stores a flat µop per text word — an operation kind
+// plus resolved register numbers and a pre-folded immediate — so executing a
+// cached instruction is one dense switch on the kind. Predecode happens at
+// most once per cache fill; the invalidation points (stores that change a
+// text word, InvalidateRange) drop the µop together with the decoded
+// instruction, so self-modifying code and the decompressor's buffer writes
+// are re-predecoded. A store that leaves a word's value unchanged keeps its
+// µop: predecode depends on the word alone, so the cached entry is exact.
 //
 // The µop encoding folds the OpLit/OpReg distinction away: a literal operand
 // is represented as rb = RegZero (hardwired zero) plus the literal in imm, so
@@ -197,279 +199,287 @@ func predecode(c *cachedInst, in isa.Inst) {
 	}
 }
 
-// Step executes a single instruction (or a hook entry). Aligned fetches
-// inside the text segment take the predecoded fast path: one dense switch
-// over the cached µop, inlined here so the hot loop pays a single stack
-// frame. Everything else — unaligned PCs, execution outside text, uSlow
-// µops, or DisableFastPath — goes through the reference path (stepSlow /
-// ExecInst), with identical simulated behaviour: same register, memory,
-// cycle, and trap effects.
+// Step executes a single instruction (or a hook entry), whatever the
+// instruction limit; on a halted machine it does nothing. It asks the hook
+// for its range on every call, where Run asks once per hook entry.
 func (m *Machine) Step() error {
 	pc := m.PC
 	if h := m.Hook; h != nil {
-		if h != m.hookSrc {
-			m.hookLo, m.hookHi = h.Range()
-			m.hookSrc = h
-		}
-		if pc >= m.hookLo && pc < m.hookHi {
+		if lo, hi := h.Range(); pc >= lo && pc < hi {
 			return h.Enter(m)
 		}
 	}
-	ic := m.icache
-	i := uint(uint32(pc-objfile.TextBase) >> 2)
-	if pc&3 != 0 || i >= uint(len(ic)) || m.DisableFastPath {
-		return m.stepSlow(pc)
-	}
-	c := &ic[i]
-	if c.kind == uInvalid {
-		predecode(c, isa.Decode(getWord(m.Mem, pc)))
-		m.Telem.Predecodes++
-	}
-	if m.ICache != nil || m.Profile != nil {
-		if m.ICache != nil {
-			m.Cycles += m.ICache.access(pc)
-		}
-		if m.Profile != nil && i < uint(len(m.Profile)) {
-			m.Profile[i]++
-		}
-	}
-	m.Instructions++
-	next := pc + isa.WordSize
-	// Masking the (already in-range) register numbers lets the compiler
-	// drop the bounds check on every Reg access below.
-	ra, rb, rc := c.ra&31, c.rb&31, c.rc&31
-	switch c.kind {
-	case uSlow:
-		m.Telem.SlowDispatches++
-		nx, err := m.exec(&c.inst, pc)
-		if err != nil {
-			return err
-		}
-		m.PC = nx
-		return nil
-	case uSys:
-		redirected, err := m.syscall(uint32(c.imm))
-		if err != nil {
-			return err
-		}
-		m.Cycles += CostSyscall
-		if m.Halted || redirected {
-			return nil // m.PC is already final
-		}
+	return m.run(0, 0, m.Instructions+1)
+}
 
-	case uLDA:
-		if ra != regZero {
-			m.Reg[ra] = m.Reg[rb] + c.imm
+// run executes instructions from m.PC until the machine halts, the
+// instruction count reaches limit, or the PC enters [lo, hi) (a hook's
+// range, for the caller to enter). It is the interpreter's hot loop: the
+// bounds are locals, so an instruction pays two compares for the hook, and
+// a predecoded one runs without a function call.
+//
+// Aligned fetches inside the text segment take the predecoded fast path:
+// one dense switch over the cached µop. Everything else — unaligned PCs,
+// execution outside text, uSlow µops, or DisableFastPath — goes through the
+// reference path (stepSlow / ExecInst), with identical simulated behaviour:
+// same register, memory, cycle, and trap effects.
+func (m *Machine) run(lo, hi uint32, limit uint64) error {
+	for !m.Halted && m.Instructions < limit {
+		pc := m.PC
+		if pc >= lo && pc < hi {
+			return nil
 		}
-		m.Cycles += CostOp
-	case uLDW:
-		addr := uint32(m.Reg[rb] + c.imm)
-		if addr%isa.WordSize != 0 || addr > uint32(len(m.Mem))-4 {
-			_, err := m.ReadWord(addr) // reference trap message
-			return err
+		ic := m.icache
+		i := uint(uint32(pc-objfile.TextBase) >> 2)
+		if pc&3 != 0 || i >= uint(len(ic)) || m.DisableFastPath {
+			if err := m.stepSlow(pc); err != nil {
+				return err
+			}
+			continue
 		}
-		if ra != regZero {
-			m.Reg[ra] = int32(getWord(m.Mem, addr))
+		c := &ic[i]
+		if c.kind == uInvalid {
+			predecode(c, isa.Decode(getWord(m.Mem, pc)))
+			m.Telem.Predecodes++
 		}
-		m.Cycles += CostMem
-	case uSTW:
-		addr := uint32(m.Reg[rb] + c.imm)
-		if addr%isa.WordSize != 0 || addr > uint32(len(m.Mem))-4 {
-			return m.WriteWord(addr, uint32(m.Reg[ra]))
+		if m.ICache != nil || m.Profile != nil {
+			if m.ICache != nil {
+				m.Cycles += m.ICache.access(pc)
+			}
+			if m.Profile != nil && i < uint(len(m.Profile)) {
+				m.Profile[i]++
+			}
 		}
-		putWord(m.Mem, addr, uint32(m.Reg[ra]))
-		if idx := int(addr-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(m.icache) {
-			m.icache[idx].kind = uInvalid
-			m.Telem.InvalidatedWords++
-		}
-		m.Cycles += CostMem
-	case uLDB:
-		addr := uint32(m.Reg[rb] + c.imm)
-		if addr >= uint32(len(m.Mem)) {
-			return &TrapError{pc, fmt.Sprintf("byte read out of bounds at %#x", addr)}
-		}
-		if ra != regZero {
-			m.Reg[ra] = int32(m.Mem[addr])
-		}
-		m.Cycles += CostMem
-	case uSTB:
-		addr := uint32(m.Reg[rb] + c.imm)
-		if addr >= uint32(len(m.Mem)) {
-			return &TrapError{pc, fmt.Sprintf("byte write out of bounds at %#x", addr)}
-		}
-		m.Mem[addr] = byte(m.Reg[ra])
-		if idx := int(addr&^3-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(m.icache) {
-			m.icache[idx].kind = uInvalid
-			m.Telem.InvalidatedWords++
-		}
-		m.Cycles += CostMem
+		m.Instructions++
+		next := pc + isa.WordSize
+		// Masking the (already in-range) register numbers lets the compiler
+		// drop the bounds check on every Reg access below.
+		ra, rb, rc := c.ra&31, c.rb&31, c.rc&31
+		switch c.kind {
+		case uSlow:
+			m.Telem.SlowDispatches++
+			nx, err := m.exec(&c.inst, pc)
+			if err != nil {
+				return err
+			}
+			m.PC = nx
+			continue
+		case uSys:
+			redirected, err := m.syscall(uint32(c.imm))
+			if err != nil {
+				return err
+			}
+			m.Cycles += CostSyscall
+			if m.Halted || redirected {
+				continue // m.PC is already final
+			}
 
-	case uBR:
-		if ra != regZero {
-			m.Reg[ra] = int32(next)
-		}
-		next += uint32(c.imm)
-		m.Cycles += CostBranchTaken
-	case uBEQ:
-		if m.Reg[ra] == 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uBNE:
-		if m.Reg[ra] != 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uBLT:
-		if m.Reg[ra] < 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uBLE:
-		if m.Reg[ra] <= 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uBGT:
-		if m.Reg[ra] > 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uBGE:
-		if m.Reg[ra] >= 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uJump:
-		target := uint32(m.Reg[rb]) &^ 3
-		if ra != regZero {
-			m.Reg[ra] = int32(next)
-		}
-		next = target
-		m.Cycles += CostJump
+		case uLDA:
+			if ra != regZero {
+				m.Reg[ra] = m.Reg[rb] + c.imm
+			}
+			m.Cycles += CostOp
+		case uLDW:
+			addr := uint32(m.Reg[rb] + c.imm)
+			if addr%isa.WordSize != 0 || addr > uint32(len(m.Mem))-4 {
+				_, err := m.ReadWord(addr) // reference trap message
+				return err
+			}
+			if ra != regZero {
+				m.Reg[ra] = int32(getWord(m.Mem, addr))
+			}
+			m.Cycles += CostMem
+		case uSTW:
+			addr := uint32(m.Reg[rb] + c.imm)
+			if addr%isa.WordSize != 0 || addr > uint32(len(m.Mem))-4 {
+				return m.WriteWord(addr, uint32(m.Reg[ra]))
+			}
+			m.storeWord(addr, uint32(m.Reg[ra]))
+			m.Cycles += CostMem
+		case uLDB:
+			addr := uint32(m.Reg[rb] + c.imm)
+			if addr >= uint32(len(m.Mem)) {
+				return &TrapError{pc, fmt.Sprintf("byte read out of bounds at %#x", addr)}
+			}
+			if ra != regZero {
+				m.Reg[ra] = int32(m.Mem[addr])
+			}
+			m.Cycles += CostMem
+		case uSTB:
+			addr := uint32(m.Reg[rb] + c.imm)
+			if addr >= uint32(len(m.Mem)) {
+				return &TrapError{pc, fmt.Sprintf("byte write out of bounds at %#x", addr)}
+			}
+			m.storeByte(addr, byte(m.Reg[ra]))
+			m.Cycles += CostMem
 
-	case uAdd:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] + m.Reg[rb] + c.imm
+		case uBR:
+			if ra != regZero {
+				m.Reg[ra] = int32(next)
+			}
+			next += uint32(c.imm)
+			m.Cycles += CostBranchTaken
+		case uBEQ:
+			if m.Reg[ra] == 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uBNE:
+			if m.Reg[ra] != 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uBLT:
+			if m.Reg[ra] < 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uBLE:
+			if m.Reg[ra] <= 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uBGT:
+			if m.Reg[ra] > 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uBGE:
+			if m.Reg[ra] >= 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uJump:
+			target := uint32(m.Reg[rb]) &^ 3
+			if ra != regZero {
+				m.Reg[ra] = int32(next)
+			}
+			next = target
+			m.Cycles += CostJump
+
+		case uAdd:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] + m.Reg[rb] + c.imm
+			}
+			m.Cycles += CostOp
+		case uSub:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] - (m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uCmpEQ:
+			if rc != regZero {
+				m.Reg[rc] = boolReg(m.Reg[ra] == m.Reg[rb]+c.imm)
+			}
+			m.Cycles += CostOp
+		case uCmpLT:
+			if rc != regZero {
+				m.Reg[rc] = boolReg(m.Reg[ra] < m.Reg[rb]+c.imm)
+			}
+			m.Cycles += CostOp
+		case uCmpLE:
+			if rc != regZero {
+				m.Reg[rc] = boolReg(m.Reg[ra] <= m.Reg[rb]+c.imm)
+			}
+			m.Cycles += CostOp
+		case uCmpULT:
+			if rc != regZero {
+				m.Reg[rc] = boolReg(uint32(m.Reg[ra]) < uint32(m.Reg[rb]+c.imm))
+			}
+			m.Cycles += CostOp
+		case uCmpULE:
+			if rc != regZero {
+				m.Reg[rc] = boolReg(uint32(m.Reg[ra]) <= uint32(m.Reg[rb]+c.imm))
+			}
+			m.Cycles += CostOp
+		case uAnd:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] & (m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uBic:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] &^ (m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uBis:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] | (m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uOrnot:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] | ^(m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uXor:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] ^ (m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uEqv:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] ^ ^(m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uSll:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] << (uint32(m.Reg[rb]+c.imm) & 31)
+			}
+			m.Cycles += CostOp
+		case uSrl:
+			if rc != regZero {
+				m.Reg[rc] = int32(uint32(m.Reg[ra]) >> (uint32(m.Reg[rb]+c.imm) & 31))
+			}
+			m.Cycles += CostOp
+		case uSra:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] >> (uint32(m.Reg[rb]+c.imm) & 31)
+			}
+			m.Cycles += CostOp
+		case uMul:
+			if rc != regZero {
+				m.Reg[rc] = int32(int64(m.Reg[ra]) * int64(m.Reg[rb]+c.imm))
+			}
+			m.Cycles += CostOp
+		case uMulh:
+			if rc != regZero {
+				m.Reg[rc] = int32(int64(m.Reg[ra]) * int64(m.Reg[rb]+c.imm) >> 32)
+			}
+			m.Cycles += CostOp
+		case uDiv:
+			b := m.Reg[rb] + c.imm
+			if b == 0 {
+				return &TrapError{pc, "integer division by zero"}
+			}
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] / b
+			}
+			m.Cycles += CostOp
+		case uMod:
+			b := m.Reg[rb] + c.imm
+			if b == 0 {
+				return &TrapError{pc, "integer remainder by zero"}
+			}
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] % b
+			}
+			m.Cycles += CostOp
 		}
-		m.Cycles += CostOp
-	case uSub:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] - (m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uCmpEQ:
-		if rc != regZero {
-			m.Reg[rc] = boolReg(m.Reg[ra] == m.Reg[rb]+c.imm)
-		}
-		m.Cycles += CostOp
-	case uCmpLT:
-		if rc != regZero {
-			m.Reg[rc] = boolReg(m.Reg[ra] < m.Reg[rb]+c.imm)
-		}
-		m.Cycles += CostOp
-	case uCmpLE:
-		if rc != regZero {
-			m.Reg[rc] = boolReg(m.Reg[ra] <= m.Reg[rb]+c.imm)
-		}
-		m.Cycles += CostOp
-	case uCmpULT:
-		if rc != regZero {
-			m.Reg[rc] = boolReg(uint32(m.Reg[ra]) < uint32(m.Reg[rb]+c.imm))
-		}
-		m.Cycles += CostOp
-	case uCmpULE:
-		if rc != regZero {
-			m.Reg[rc] = boolReg(uint32(m.Reg[ra]) <= uint32(m.Reg[rb]+c.imm))
-		}
-		m.Cycles += CostOp
-	case uAnd:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] & (m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uBic:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] &^ (m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uBis:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] | (m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uOrnot:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] | ^(m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uXor:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] ^ (m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uEqv:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] ^ ^(m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uSll:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] << (uint32(m.Reg[rb]+c.imm) & 31)
-		}
-		m.Cycles += CostOp
-	case uSrl:
-		if rc != regZero {
-			m.Reg[rc] = int32(uint32(m.Reg[ra]) >> (uint32(m.Reg[rb]+c.imm) & 31))
-		}
-		m.Cycles += CostOp
-	case uSra:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] >> (uint32(m.Reg[rb]+c.imm) & 31)
-		}
-		m.Cycles += CostOp
-	case uMul:
-		if rc != regZero {
-			m.Reg[rc] = int32(int64(m.Reg[ra]) * int64(m.Reg[rb]+c.imm))
-		}
-		m.Cycles += CostOp
-	case uMulh:
-		if rc != regZero {
-			m.Reg[rc] = int32(int64(m.Reg[ra]) * int64(m.Reg[rb]+c.imm) >> 32)
-		}
-		m.Cycles += CostOp
-	case uDiv:
-		b := m.Reg[rb] + c.imm
-		if b == 0 {
-			return &TrapError{pc, "integer division by zero"}
-		}
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] / b
-		}
-		m.Cycles += CostOp
-	case uMod:
-		b := m.Reg[rb] + c.imm
-		if b == 0 {
-			return &TrapError{pc, "integer remainder by zero"}
-		}
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] % b
-		}
-		m.Cycles += CostOp
+		m.PC = next
 	}
-	m.PC = next
 	return nil
 }
 

@@ -210,3 +210,76 @@ func TestFastPathInvalidateRange(t *testing.T) {
 		t.Fatalf("after invalidate+rewrite, a0 = %d, want 9", m.Reg[isa.RegA0])
 	}
 }
+
+// TestRewriteSameWordKeepsDecode: a store of the value a text word already
+// holds keeps its predecoded µop, through WriteWord and through stw and stb
+// in both interpreters; a store of a different value is re-decoded.
+func TestRewriteSameWordKeepsDecode(t *testing.T) {
+	im := assembleImage(t, `
+        .text
+        .func main
+        li   a0, 1
+        sys  halt
+`)
+	m := New(im, nil)
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Telem
+	w, err := m.ReadWord(objfile.TextBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerun := func() {
+		t.Helper()
+		m.PC, m.Halted = objfile.TextBase, false
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.WriteWord(objfile.TextBase, w); err != nil {
+		t.Fatal(err)
+	}
+	rerun()
+	if m.Telem.Predecodes != before.Predecodes || m.Telem.InvalidatedWords != before.InvalidatedWords {
+		t.Fatalf("same-value rewrite: predecodes %d→%d, invalidated %d→%d",
+			before.Predecodes, m.Telem.Predecodes, before.InvalidatedWords, m.Telem.InvalidatedWords)
+	}
+	// "li a0, 1" → "li a0, 9": the low 16 bits are the literal.
+	if err := m.WriteWord(objfile.TextBase, w&^0xFFFF|9); err != nil {
+		t.Fatal(err)
+	}
+	rerun()
+	if m.Status != 9 {
+		t.Fatalf("after rewrite, status %d, want 9", m.Status)
+	}
+	if m.Telem.InvalidatedWords != before.InvalidatedWords+1 || m.Telem.Predecodes != before.Predecodes+1 {
+		t.Fatalf("changed rewrite: predecodes %d→%d, invalidated %d→%d, want one each",
+			before.Predecodes, m.Telem.Predecodes, before.InvalidatedWords, m.Telem.InvalidatedWords)
+	}
+
+	// Programs that store a text word's own word and byte back over it.
+	for _, store := range []string{"ldw t1, 0(t0)\n        stw t1, 0(t0)", "ldb t1, 0(t0)\n        stb t1, 0(t0)"} {
+		im := assembleImage(t, `
+        .text
+        .func main
+        li   t3, 5
+loop:   la   t0, loop
+        `+store+`
+        sub  t3, 1, t3
+        bne  t3, loop
+        sys  halt
+`)
+		runPair(t, store, im, nil, false, false)
+		for _, disable := range []bool{false, true} {
+			m := New(im, nil)
+			m.DisableFastPath = disable
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if m.Telem.InvalidatedWords != 0 {
+				t.Fatalf("%q (slow=%v): %d words invalidated, want 0", store, disable, m.Telem.InvalidatedWords)
+			}
+		}
+	}
+}

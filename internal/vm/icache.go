@@ -1,7 +1,5 @@
 package vm
 
-import "repro/internal/isa"
-
 // ICache is an optional direct-mapped instruction-cache model. The paper's
 // test machine has a 64 KB two-way instruction cache, and the decompression
 // scheme interacts with instruction caching twice: the decompressor must
@@ -89,5 +87,4 @@ func (m *Machine) ICacheFlush(lo, hi uint32) {
 	if m.ICache != nil {
 		m.ICache.FlushRange(lo, hi)
 	}
-	_ = isa.WordSize
 }

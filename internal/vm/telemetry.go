@@ -17,8 +17,10 @@ type Counters struct {
 	// SlowSteps counts steps taken entirely on the reference path
 	// (DisableFastPath, unaligned PCs, execution outside text).
 	SlowSteps uint64 `json:"slow_steps"`
-	// InvalidatedWords counts decode-cache entries dropped by stores
-	// and InvalidateRange (self-modifying code, decompressor writes).
+	// InvalidatedWords counts decode-cache entries dropped by stores that
+	// change a text word's value, and by InvalidateRange (self-modifying
+	// code, decompressor writes). A store of the value a word already
+	// holds keeps its entry and is not counted.
 	InvalidatedWords uint64 `json:"invalidated_words"`
 }
 

@@ -23,10 +23,13 @@ import (
 
 // Hook intercepts execution of a reserved address range (the decompressor).
 type Hook interface {
-	// Range reports the intercepted half-open address interval.
+	// Range reports the intercepted half-open address interval. Run reads
+	// it when it starts and again after each Enter returns, so a hook's
+	// range may change only across its own Enter.
 	Range() (lo, hi uint32)
 	// Enter is invoked when the program counter enters the range. It must
-	// update the machine state (including PC) to continue execution.
+	// update the machine state (including PC) to continue execution; it
+	// may also install another hook (or none) in m.Hook.
 	Enter(m *Machine) error
 }
 
@@ -104,12 +107,6 @@ type Machine struct {
 
 	// Decode cache over the text segment, invalidated on stores.
 	icache []cachedInst
-
-	// Cached Hook.Range() so the hot loop avoids an interface call per
-	// step; recomputed whenever the installed hook changes.
-	hookSrc Hook
-	hookLo  uint32
-	hookHi  uint32
 
 	jmp *jmpState
 }
@@ -192,7 +189,7 @@ func (m *Machine) ReadWord(addr uint32) (uint32, error) {
 }
 
 // WriteWord stores the aligned 32-bit word at addr, invalidating any cached
-// decode of that location.
+// decode of that location if the store changes its value.
 func (m *Machine) WriteWord(addr uint32, v uint32) error {
 	if addr%isa.WordSize != 0 {
 		return &TrapError{m.PC, fmt.Sprintf("unaligned word write at %#x", addr)}
@@ -200,12 +197,34 @@ func (m *Machine) WriteWord(addr uint32, v uint32) error {
 	if addr > uint32(len(m.Mem))-4 { // see ReadWord: avoids uint32 wrap at the top of the address space
 		return &TrapError{m.PC, fmt.Sprintf("word write out of bounds at %#x", addr)}
 	}
-	putWord(m.Mem, addr, v)
+	m.storeWord(addr, v)
+	return nil
+}
+
+// storeWord writes v to the in-bounds aligned word at addr. A text word
+// whose value changes loses its cached decode; one rewritten with the value
+// it already holds keeps it, since predecode depends on the word alone.
+func (m *Machine) storeWord(addr, v uint32) {
 	if idx := int(addr-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(m.icache) {
+		if getWord(m.Mem, addr) == v {
+			return
+		}
 		m.icache[idx].kind = uInvalid
 		m.Telem.InvalidatedWords++
 	}
-	return nil
+	putWord(m.Mem, addr, v)
+}
+
+// storeByte is storeWord for the in-bounds byte at addr.
+func (m *Machine) storeByte(addr uint32, b byte) {
+	if idx := int(addr&^3-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(m.icache) {
+		if m.Mem[addr] == b {
+			return
+		}
+		m.icache[idx].kind = uInvalid
+		m.Telem.InvalidatedWords++
+	}
+	m.Mem[addr] = b
 }
 
 func getWord(mem []byte, a uint32) uint32 {
@@ -236,21 +255,34 @@ func (m *Machine) fetch(pc uint32) (isa.Inst, error) {
 	return in, nil
 }
 
-// Run executes until HALT, a trap, or the instruction limit.
+// Run executes until HALT, a trap, or the instruction limit. It reads the
+// hook and its range when it starts and again after each Enter, which may
+// install another hook; between entries the instructions run in run's loop.
 func (m *Machine) Run() error {
 	limit := m.MaxInstructions
 	if limit == 0 {
 		limit = DefaultMaxInstructions
 	}
-	for !m.Halted {
+	for {
+		var lo, hi uint32
+		h := m.Hook
+		if h != nil {
+			lo, hi = h.Range()
+		}
+		if err := m.run(lo, hi, limit); err != nil {
+			return err
+		}
+		if m.Halted {
+			return nil
+		}
 		if m.Instructions >= limit {
 			return fmt.Errorf("%w (%d instructions, pc=%#x)", ErrInstructionLimit, m.Instructions, m.PC)
 		}
-		if err := m.Step(); err != nil {
+		// run stopped at the hook's range, so h is not nil.
+		if err := h.Enter(m); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // stepSlow is the reference step: fetch (decode cache aside), cache model,
@@ -332,11 +364,7 @@ func (m *Machine) exec(in *isa.Inst, pc uint32) (uint32, error) {
 			if addr >= uint32(len(m.Mem)) {
 				return 0, &TrapError{pc, fmt.Sprintf("byte write out of bounds at %#x", addr)}
 			}
-			m.Mem[addr] = byte(m.Reg[in.RA])
-			if idx := int(addr&^3-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(m.icache) {
-				m.icache[idx].kind = uInvalid
-				m.Telem.InvalidatedWords++
-			}
+			m.storeByte(addr, byte(m.Reg[in.RA]))
 			m.Cycles += CostMem
 		}
 	case isa.FormatBranch:

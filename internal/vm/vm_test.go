@@ -407,3 +407,72 @@ patch:  li   a0, 1
 		t.Fatalf("status = %d, want 9 (stale decode cache?)", m.Status)
 	}
 }
+
+// chainHook is a hook whose Enter skips the hooked word and installs next
+// (possibly nil) as the machine's hook.
+type chainHook struct {
+	lo, hi  uint32
+	next    Hook
+	entered int
+}
+
+func (h *chainHook) Range() (uint32, uint32) { return h.lo, h.hi }
+func (h *chainHook) Enter(m *Machine) error {
+	h.entered++
+	m.Hook = h.next
+	m.PC += isa.WordSize
+	return nil
+}
+
+// TestRunPicksUpHookInstalledByEnter: Run re-reads the hook and its range
+// after every Enter, so a hook installed by another hook's Enter intercepts
+// its own range, not the first hook's.
+func TestRunPicksUpHookInstalledByEnter(t *testing.T) {
+	m := load(t, `
+        .text
+        .func main
+        li   a0, 1
+        li   a0, 2          ; hooked by first
+        li   a0, 3          ; hooked by second
+        sys  halt
+`, nil)
+	at := func(w uint32) uint32 { return objfile.TextBase + w*isa.WordSize }
+	second := &chainHook{lo: at(2), hi: at(3)}
+	first := &chainHook{lo: at(1), hi: at(2), next: second}
+	m.Hook = first
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first.entered != 1 || second.entered != 1 {
+		t.Fatalf("entered first=%d second=%d, want 1 and 1", first.entered, second.entered)
+	}
+	if m.Status != 1 || m.Instructions != 2 {
+		t.Fatalf("status=%d instructions=%d, want 1 and 2", m.Status, m.Instructions)
+	}
+	if m.Hook != nil {
+		t.Fatal("second hook's Enter did not uninstall it")
+	}
+}
+
+// TestInstructionLimitWithHook: hook entries cost no instructions, and the
+// limit is checked before every step and every entry, so a loop through a
+// hook stops at exactly the limit.
+func TestInstructionLimitWithHook(t *testing.T) {
+	m := load(t, `
+        .text
+        .func main
+loop:   br   reserved
+        .func reserved
+        .word 0xFFFFFFFF     ; would trap if executed
+`, nil)
+	reserved := objfile.TextBase + isa.WordSize
+	h := &hookRecorder{lo: reserved, hi: reserved + 4, target: objfile.TextBase}
+	m.Hook = h
+	m.MaxInstructions = 1000
+	if err := m.Run(); !errors.Is(err, ErrInstructionLimit) {
+		t.Fatalf("want instruction limit error, got %v", err)
+	}
+	if m.Instructions != 1000 || h.entered != 999 {
+		t.Fatalf("stopped at %d instructions after %d entries, want 1000 and 999", m.Instructions, h.entered)
+	}
+}
